@@ -46,6 +46,7 @@ from .operators import (
     tail_diverges,
 )
 from .operators import _chordal, _chordal_to_infinity, _chordal_window_dev, _dense
+from .spectral import _sqrt_psd
 
 __all__ = [
     "GapResult",
@@ -116,10 +117,8 @@ class GapBoundReport:
 # ---------------------------------------------------------------------------
 
 
-def _defect_map():
-    f = lambda z: 1.0 / (1.0 + abs(z) ** 2) + 0j
-    vec_f = lambda a: (1.0 / (1.0 + np.abs(a) ** 2)).astype(complex)
-    return f, vec_f
+def _defect_map(a: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.abs(a) ** 2)
 
 
 def defect_resolvent(op: OperatorRep) -> DefectPair:
@@ -135,12 +134,11 @@ def defect_resolvent(op: OperatorRep) -> DefectPair:
         check = np.linalg.solve(np.eye(n) + arr.conj().T @ arr, np.eye(n))
         hat = np.linalg.solve(np.eye(m) + arr @ arr.conj().T, np.eye(m))
         return DefectPair(MatrixOp(check), MatrixOp(hat))
-    f, vec_f = _defect_map()
     if isinstance(op, DiagonalOp):
-        d = DiagonalOp(map_seq(op.seq, f, vec_f=vec_f, at_infinity=0.0))
+        d = DiagonalOp(map_seq(op.seq, _defect_map, at_infinity=0.0))
         return DefectPair(d, d)
     bt = block_tail(op)
-    tail = map_seq(bt.tail, f, vec_f=vec_f, at_infinity=0.0)
+    tail = map_seq(bt.tail, _defect_map, at_infinity=0.0)
     eye = np.eye(bt.k)
     check_block = np.linalg.solve(eye + bt.block.conj().T @ bt.block, eye)
     hat_block = np.linalg.solve(eye + bt.block @ bt.block.conj().T, eye)
@@ -236,19 +234,14 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_psd_dense(arr: np.ndarray) -> np.ndarray:
-    w, u = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-
-
 def _closed_form_dense(s: np.ndarray, t: np.ndarray) -> float:
     m, n = t.shape
     t_hat = np.linalg.solve(np.eye(m) + t @ t.conj().T, np.eye(m))
     s_hat = np.linalg.solve(np.eye(m) + s @ s.conj().T, np.eye(m))
     t_check = np.linalg.solve(np.eye(n) + t.conj().T @ t, np.eye(n))
     s_check = np.linalg.solve(np.eye(n) + s.conj().T @ s, np.eye(n))
-    one = np.linalg.norm(_sqrt_psd_dense(t_hat) @ (t - s) @ _sqrt_psd_dense(s_check), 2)
-    two = np.linalg.norm(_sqrt_psd_dense(s_hat) @ (s - t) @ _sqrt_psd_dense(t_check), 2)
+    one = np.linalg.norm(_sqrt_psd(t_hat) @ (t - s) @ _sqrt_psd(s_check), 2)
+    two = np.linalg.norm(_sqrt_psd(s_hat) @ (s - t) @ _sqrt_psd(t_check), 2)
     return float(max(one, two))
 
 
@@ -270,7 +263,7 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
         raise ValueError("closed form needs operators on a common space")
     sv, s_seq, tv, t_seq, k = _aligned_profiles(s, t, prefix)
     dense_part = _closed_form_dense(np.diag(sv[:k]), np.diag(tv[:k]))
-    g = _chordal_profile(sv, tv)
+    g = _chordal(sv, tv)
     scan = float(np.max(g[k:])) if g.size > k else 0.0
     prefix_part = max(dense_part, scan)
     value, tail_bound = _certify_tail(prefix_part, g, sv, tv, s_seq, t_seq, k)
@@ -316,10 +309,6 @@ def _aligned_profiles(s: OperatorRep, t: OperatorRep,
     return sv, s_seq, tv, t_seq, k
 
 
-def _chordal_profile(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) / (np.sqrt(1.0 + np.abs(a) ** 2) * np.sqrt(1.0 + np.abs(b) ** 2))
-
-
 def _ext_points(seq: DiagSeq) -> list[complex | None]:
     """Accumulation points with None standing in for infinity."""
     pts: list[complex | None] = list(accumulation_points(seq.tail))
@@ -332,10 +321,10 @@ def _g_ext(a: complex | None, b: complex | None) -> float:
     if a is None and b is None:
         return 0.0
     if a is None:
-        return _chordal_to_infinity(b)
+        return float(_chordal_to_infinity(b))
     if b is None:
-        return _chordal_to_infinity(a)
-    return _chordal(a, b)
+        return float(_chordal_to_infinity(a))
+    return float(_chordal(a, b))
 
 
 def _tail_pairs(s_seq: DiagSeq, t_seq: DiagSeq) -> tuple[list, bool]:
@@ -348,9 +337,11 @@ def _tail_pairs(s_seq: DiagSeq, t_seq: DiagSeq) -> tuple[list, bool]:
     """
     root = shared_root(s_seq, t_seq)
     if root is not None and not tail_diverges(root.tail):
+        points = np.array(accumulation_points(root.tail), dtype=complex)
         fs = s_seq.from_root or (lambda z: z)
         ft = t_seq.from_root or (lambda z: z)
-        pairs = [(fs(p), ft(p)) for p in accumulation_points(root.tail)]
+        pairs = list(zip(np.asarray(fs(points), dtype=complex).tolist(),
+                         np.asarray(ft(points), dtype=complex).tolist()))
         if _pairs_match_declared(pairs, s_seq, t_seq):
             return pairs, True
     es, et = _ext_points(s_seq), _ext_points(t_seq)
@@ -397,7 +388,7 @@ def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
     divergent pair tends to zero.
     """
     sv, s_seq, tv, t_seq, k = _aligned_profiles(s, t, prefix)
-    g = _chordal_profile(sv, tv)
+    g = _chordal(sv, tv)
     prefix_part = float(np.max(g)) if g.size else 0.0
     value, tail_bound = _certify_tail(prefix_part, g, sv, tv, s_seq, t_seq, k)
     return GapResult(value, "diagonal", prefix, tail_bound)

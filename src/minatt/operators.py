@@ -18,9 +18,8 @@ what keeps norms, spectra and perturbation arithmetic exact downstream.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -294,17 +293,19 @@ def tail_diverges(tail: TailSpec) -> bool:
 def map_tail(tail: TailSpec, f, at_infinity=None) -> TailSpec:
     """Push a declared tail through an entrywise map ``f``.
 
+    ``f`` is applied once, to the declared limit or points as a numpy array.
     ``at_infinity`` controls the image of a divergent branch: the string
     ``"diverges"`` keeps it divergent, a scalar declares ``f`` to approach
     that value at infinity, and ``None`` rejects divergent inputs.
     """
+    def image(points) -> tuple[complex, ...]:
+        return tuple(np.asarray(f(np.array(points, dtype=complex)), dtype=complex).tolist())
+
     if isinstance(tail, ConvergesTo):
-        return ConvergesTo(f(tail.limit))
-    if isinstance(tail, Periodic):
-        return Periodic(tuple(f(v) for v in tail.values))
-    if isinstance(tail, FiniteRange):
-        return FiniteRange(tuple(f(v) for v in tail.values))
-    points = [f(p) for p in tail.points]
+        return ConvergesTo(image([tail.limit])[0])
+    if isinstance(tail, (Periodic, FiniteRange)):
+        return type(tail)(image(tail.values))
+    points = list(image(tail.points))
     diverges = False
     if tail.diverges_to_infinity:
         if at_infinity == "diverges":
@@ -321,24 +322,29 @@ def map_tail(tail: TailSpec, f, at_infinity=None) -> TailSpec:
 # ---------------------------------------------------------------------------
 
 
+# a derived sequence maps its root's entries in blocks of this length, so the
+# temporaries of a composed map stay small next to a long prefix
+_MAP_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True, eq=False)
 class DiagSeq:
-    """Total generator ``fn: index -> scalar`` plus its declared tail.
+    """Lazy diagonal sequence: entries computed from index arrays, plus a declared tail.
 
-    Sequences derived from one another (by entrywise maps) remember their
-    root generator, so later combinations of two derived sequences can be
-    carried out exactly whenever they share a root.  ``const_value`` marks
-    sequences that are constant, which combine with anything.
+    A root sequence holds ``gen``, which maps an array of 1-based indices to
+    the entries there.  A sequence derived by entrywise maps holds its
+    ``root`` and ``from_root``, the array map from the root's entries to its
+    own, so later combinations of two derived sequences can be carried out
+    exactly whenever they share a root.  ``const_value`` marks sequences
+    that are constant, which combine with anything.
     """
 
-    fn: Callable[[int], complex]
     tail: TailSpec
+    gen: Callable[[np.ndarray], np.ndarray] | None = None
     name: str | None = None
-    vec_fn: Callable[[np.ndarray], np.ndarray] | None = None
     const_value: complex | None = None
     root: "DiagSeq | None" = None
-    from_root: Callable[[complex], complex] | None = None
-    vec_from_root: Callable[[np.ndarray], np.ndarray] | None = None
+    from_root: Callable[[np.ndarray], np.ndarray] | None = None
 
     def root_seq(self) -> "DiagSeq":
         return self.root if self.root is not None else self
@@ -347,51 +353,57 @@ class DiagSeq:
         """Exact entries 1..n as a complex array."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
+        return self.values_at(np.arange(1, n + 1))
+
+    def values_at(self, indices: np.ndarray) -> np.ndarray:
+        """Exact entries at a 1-D array of 1-based indices, as a complex array."""
         if self.const_value is not None:
-            return np.full(n, self.const_value, dtype=complex)
-        root = self.root_seq()
-        if root.vec_fn is not None:
-            base = np.asarray(root.vec_fn(np.arange(1, n + 1)), dtype=complex)
-        else:
-            base = np.fromiter((root.fn(i) for i in range(1, n + 1)), dtype=complex, count=n)
-        if root is self:
-            return base
-        if self.vec_from_root is not None:
-            return np.asarray(self.vec_from_root(base), dtype=complex)
-        return np.fromiter((self.from_root(z) for z in base), dtype=complex, count=n)
+            return np.full(len(indices), self.const_value, dtype=complex)
+        # the index array is dropped as soon as it is used: on a long prefix
+        # it would otherwise sit beside the generator's temporaries
+        if self.root is None:
+            vals = self.gen(indices)
+            del indices
+            return np.asarray(vals, dtype=complex)
+        base = self.root.values_at(indices)
+        del indices
+        out = np.empty(base.size, dtype=complex)
+        for lo in range(0, base.size, _MAP_BLOCK):
+            out[lo:lo + _MAP_BLOCK] = self.from_root(base[lo:lo + _MAP_BLOCK])
+        return out
 
 
 def diagonal_seq(fn, tail: TailSpec, *, name: str | None = None, vec_fn=None) -> DiagSeq:
-    """A primitive lazy diagonal sequence."""
-    return DiagSeq(fn=fn, tail=tail, name=name, vec_fn=vec_fn)
+    """A primitive lazy diagonal sequence.
+
+    ``fn`` maps a Python int index to its entry.  ``vec_fn``, when given,
+    computes the same entries from an index array and is used instead;
+    otherwise ``fn`` is lifted once into such an array map.
+    """
+    if vec_fn is None:
+        def vec_fn(indices):
+            return np.fromiter(map(fn, indices.tolist()), dtype=complex, count=len(indices))
+    return DiagSeq(tail, gen=vec_fn, name=name)
 
 
 def constant_seq(c) -> DiagSeq:
     c = _as_scalar(c)
-    return DiagSeq(fn=lambda n: c, tail=ConvergesTo(c), name=f"const:{_format_scalar(c)}",
-                   vec_fn=None, const_value=c)
+    return DiagSeq(ConvergesTo(c), name=f"const:{_format_scalar(c)}", const_value=c)
 
 
-def map_seq(seq: DiagSeq, f, *, vec_f=None, at_infinity=None, tail: TailSpec | None = None) -> DiagSeq:
-    """Entrywise map of a sequence, tracking the root generator."""
+def map_seq(seq: DiagSeq, f, *, at_infinity=None, tail: TailSpec | None = None) -> DiagSeq:
+    """Entrywise map of a sequence, tracking the root generator.
+
+    ``f`` is applied to numpy arrays: to blocks of entries, and to the
+    declared tail points and a constant value as arrays of their own.
+    """
     new_tail = tail if tail is not None else map_tail(seq.tail, f, at_infinity)
     if seq.const_value is not None:
-        return constant_seq(f(seq.const_value)) if tail is None else DiagSeq(
-            fn=lambda n, c=f(seq.const_value): c, tail=new_tail, const_value=f(seq.const_value))
-    root = seq.root_seq()
-    if seq.from_root is not None:
-        prev = seq.from_root
-        from_root = lambda z: f(prev(z))
-        prev_vec = seq.vec_from_root
-        if vec_f is not None and prev_vec is not None:
-            vec_from_root = lambda a: vec_f(prev_vec(a))
-        else:
-            vec_from_root = None
-    else:
-        from_root = f
-        vec_from_root = vec_f
-    return DiagSeq(fn=lambda n: f(seq.fn(n)), tail=new_tail, root=root,
-                   from_root=from_root, vec_from_root=vec_from_root)
+        c = complex(np.asarray(f(np.array([seq.const_value])), dtype=complex)[0])
+        return constant_seq(c) if tail is None else DiagSeq(new_tail, const_value=c)
+    prev = seq.from_root
+    from_root = f if prev is None else lambda a: f(prev(a))
+    return DiagSeq(new_tail, root=seq.root_seq(), from_root=from_root)
 
 
 def shared_root(a: DiagSeq, b: DiagSeq) -> DiagSeq | None:
@@ -413,26 +425,15 @@ def _approach_side(other: TailSpec, h, at_infinity) -> TailSpec:
     # declared points through h; Periodic and FiniteRange demote to plain
     # accumulation points because the converging side only approaches its
     # limit, it need not hit it
-    if isinstance(other, ConvergesTo):
-        return ConvergesTo(h(other.limit))
-    if isinstance(other, (Periodic, FiniteRange)):
-        return DeclaredAccumulation(tuple(h(v) for v in other.values), False)
-    points = [h(p) for p in other.points]
-    diverges = False
-    if other.diverges_to_infinity:
-        if at_infinity == "diverges":
-            diverges = True
-        elif at_infinity is None:
-            raise NotRepresentableError(
-                "combining with a divergent tail needs an image at infinity")
-        else:
-            points.append(_as_scalar(at_infinity))
-    return DeclaredAccumulation(tuple(points), diverges)
+    tail = map_tail(other, h, at_infinity)
+    if isinstance(tail, (Periodic, FiniteRange)):
+        return DeclaredAccumulation(tail.values, False)
+    return tail
 
 
-def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, vec_g=None, at_infinity=None,
+def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, at_infinity=None,
              tail: TailSpec | None = None) -> DiagSeq:
-    """Combine two sequences entrywise.
+    """Combine two sequences entrywise with ``g``, applied to numpy arrays.
 
     Exact when either sequence is constant or both share a root generator;
     anything else would require joint tail knowledge the declarations do
@@ -445,13 +446,11 @@ def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, vec_g=None, at_infinity=None,
     """
     if a.const_value is not None:
         ca = a.const_value
-        return map_seq(b, lambda z: g(ca, z),
-                       vec_f=(lambda arr: vec_g(np.full_like(arr, ca), arr)) if vec_g else None,
+        return map_seq(b, lambda z: g(np.full(z.shape, ca), z),
                        at_infinity=at_infinity, tail=tail)
     if b.const_value is not None:
         cb = b.const_value
-        return map_seq(a, lambda z: g(z, cb),
-                       vec_f=(lambda arr: vec_g(arr, np.full_like(arr, cb))) if vec_g else None,
+        return map_seq(a, lambda z: g(z, np.full(z.shape, cb)),
                        at_infinity=at_infinity, tail=tail)
     root = shared_root(a, b)
     if root is None:
@@ -461,10 +460,10 @@ def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, vec_g=None, at_infinity=None,
     fb = b.from_root or (lambda z: z)
     if tail is None and isinstance(a.tail, ConvergesTo):
         ca = a.tail.limit
-        tail = _approach_side(b.tail, lambda q: g(ca, q), at_infinity)
+        tail = _approach_side(b.tail, lambda q: g(np.full(q.shape, ca), q), at_infinity)
     elif tail is None and isinstance(b.tail, ConvergesTo):
         cb = b.tail.limit
-        tail = _approach_side(a.tail, lambda p: g(p, cb), at_infinity)
+        tail = _approach_side(a.tail, lambda p: g(p, np.full(p.shape, cb)), at_infinity)
     return map_seq(root, lambda z: g(fa(z), fb(z)), at_infinity=at_infinity, tail=tail)
 
 
@@ -479,19 +478,23 @@ def same_seq(a: DiagSeq, b: DiagSeq) -> bool:
 def check_tail_consistency(seq: DiagSeq, n: int = DEFAULT_PREFIX, tol: float = 1e-9) -> bool:
     """Heuristic guard against a grossly misdeclared tail.
 
-    For a convergent declaration the deviations from the limit over the
-    second half of the prefix must not exceed those over the first half
-    (plus ``tol``); periodic and finite-range declarations must be realised
-    by the late prefix; declared accumulation sets must attract the late
-    prefix in the chordal metric.
+    For a convergent declaration the deviations from the limit must shrink:
+    the largest over the last quarter of the prefix may be at most 0.95
+    times the largest over the second quarter (plus ``tol``); periodic and
+    finite-range declarations must be realised by the late prefix; declared
+    accumulation sets must attract the late prefix in the chordal metric.
     """
     vals = seq.values(n)
     half = n // 2
     tail = seq.tail
     if isinstance(tail, ConvergesTo):
-        early = np.max(np.abs(vals[:half] - tail.limit)) if half else 0.0
-        late = np.max(np.abs(vals[half:] - tail.limit))
-        return late < early + tol
+        # merely not growing is not enough: entries settling at a distance
+        # from a wrongly declared limit keep a nearly constant deviation
+        dev = np.abs(vals - tail.limit)
+        q = n // 4
+        early = np.max(dev[q:2 * q], initial=0.0)
+        late = np.max(dev[n - q:], initial=0.0)
+        return bool(late <= 0.95 * early + tol)
     if isinstance(tail, Periodic):
         cycle = np.asarray(tail.values, dtype=complex)
         p = cycle.size
@@ -518,24 +521,23 @@ def check_tail_consistency(seq: DiagSeq, n: int = DEFAULT_PREFIX, tol: float = 1
 # directly usable by the gap routes.
 
 
-def _chordal(z: complex, w: complex) -> float:
-    return abs(z - w) / (math.sqrt(1 + abs(z) ** 2) * math.sqrt(1 + abs(w) ** 2))
+def _chordal(a, b):
+    """Chordal distance between scalars or arrays (broadcast entrywise)."""
+    return np.abs(a - b) / (np.sqrt(1 + np.abs(a) ** 2) * np.sqrt(1 + np.abs(b) ** 2))
 
 
-def _chordal_to_infinity(z: complex) -> float:
-    return 1.0 / math.sqrt(1 + abs(z) ** 2)
+def _chordal_to_infinity(z):
+    return 1.0 / np.sqrt(1 + np.abs(z) ** 2)
 
 
 def _chordal_window_dev(values: np.ndarray, tail: TailSpec) -> float:
     if values.size == 0:
         return 0.0
-    pts = accumulation_points(tail)
     dists = np.full(values.shape, np.inf)
-    for p in pts:
-        d = np.abs(values - p) / (np.sqrt(1 + np.abs(values) ** 2) * math.sqrt(1 + abs(p) ** 2))
-        dists = np.minimum(dists, d)
+    for p in accumulation_points(tail):
+        dists = np.minimum(dists, _chordal(values, p))
     if tail_diverges(tail):
-        dists = np.minimum(dists, 1.0 / np.sqrt(1 + np.abs(values) ** 2))
+        dists = np.minimum(dists, _chordal_to_infinity(values))
     return float(np.max(dists))
 
 
@@ -653,11 +655,11 @@ class DiagonalOp(OperatorRep):
     def apply(self, x: Vec) -> Vec:
         if x.dim is not None:
             raise ValueError("diagonal operators act on l2 vectors (dim=None)")
-        return Vec(tuple((i, self.seq.fn(i) * v) for i, v in x.entries), None)
+        entries = self.seq.values_at(np.array([i for i, _ in x.entries], dtype=np.int64))
+        return Vec(tuple((i, complex(d) * v) for (i, v), d in zip(x.entries, entries)), None)
 
     def adjoint(self) -> "DiagonalOp":
-        return DiagonalOp(map_seq(self.seq, lambda z: z.conjugate(),
-                                  vec_f=np.conj, at_infinity="diverges"))
+        return DiagonalOp(map_seq(self.seq, np.conj, at_infinity="diverges"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,12 +704,11 @@ class SumOp(OperatorRep):
 # Built-in diagonal generator registry
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, tuple[Callable, Callable, TailSpec]] = {
-    "one_plus_inv_n": (lambda n: 1.0 + 1.0 / n, lambda a: 1.0 + 1.0 / a, ConvergesTo(1.0)),
-    "inv_n": (lambda n: 1.0 / n, lambda a: 1.0 / a, ConvergesTo(0.0)),
-    "alternating01": (lambda n: float((n - 1) % 2), lambda a: (a - 1) % 2,
-                      Periodic((0.0, 1.0))),
-    "linear_n": (lambda n: float(n), lambda a: a.astype(complex),
+_REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], TailSpec]] = {
+    "one_plus_inv_n": (lambda a: 1.0 + 1.0 / a, ConvergesTo(1.0)),
+    "inv_n": (lambda a: 1.0 / a, ConvergesTo(0.0)),
+    "alternating01": (lambda a: (a - 1) % 2, Periodic((0.0, 1.0))),
+    "linear_n": (lambda a: a.astype(complex),
                  DeclaredAccumulation((), diverges_to_infinity=True)),
 }
 
@@ -729,11 +730,11 @@ def named_diagonal(name: str) -> DiagonalOp:
         return DiagonalOp(constant_seq(c))
     if name not in _SEQ_CACHE:
         try:
-            fn, vec_fn, tail = _REGISTRY[name]
+            gen, tail = _REGISTRY[name]
         except KeyError:
             raise ValueError(f"unknown diagonal generator {name!r}; "
                              f"known: {', '.join(sorted(_REGISTRY))}, const:<value>") from None
-        _SEQ_CACHE[name] = diagonal_seq(fn, tail, name=name, vec_fn=vec_fn)
+        _SEQ_CACHE[name] = DiagSeq(tail, gen=gen, name=name)
     return DiagonalOp(_SEQ_CACHE[name])
 
 
@@ -763,8 +764,7 @@ class BlockTail:
 def _shifted_seq(seq: DiagSeq, shift: complex) -> DiagSeq:
     if shift == 0:
         return seq
-    return map_seq(seq, lambda z: z + shift, vec_f=lambda a: a + shift,
-                   at_infinity="diverges")
+    return map_seq(seq, lambda a: a + shift, at_infinity="diverges")
 
 
 def block_tail(op: OperatorRep, *, k_min: int = 0) -> BlockTail:
@@ -838,9 +838,7 @@ def scale_shift(op: OperatorRep, alpha, beta) -> OperatorRep:
     if isinstance(op, DiagonalOp):
         if alpha == 0:
             return DiagonalOp(constant_seq(beta))
-        return DiagonalOp(map_seq(op.seq, lambda z: alpha * z + beta,
-                                  vec_f=lambda a: alpha * a + beta,
-                                  at_infinity="diverges"))
+        return DiagonalOp(map_seq(op.seq, lambda a: alpha * a + beta, at_infinity="diverges"))
     if isinstance(op, SumOp):
         return SumOp(scale_shift(op.base, alpha, 0), alpha * op.shift + beta,
                      tuple(RankOneTerm(alpha * t.coeff, t.left, t.right)
@@ -883,8 +881,7 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
     k = max(bta.k, btb.k)
     bta = block_tail(a, k_min=k)
     btb = block_tail(b, k_min=k)
-    tail = zip_seqs(bta.tail, btb.tail, lambda x, y: x + y,
-                    vec_g=lambda x, y: x + y, at_infinity="diverges")
+    tail = zip_seqs(bta.tail, btb.tail, np.add, at_infinity="diverges")
     return block_tail_op(BlockTail(k, bta.block + btb.block, tail))
 
 
@@ -911,8 +908,7 @@ def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> Op
         # constant zero even when the other tail is lazy or divergent
         tail = constant_seq(0.0)
     else:
-        tail = zip_seqs(bta.tail, btb.tail, lambda x, y: x * y,
-                        vec_g=np.multiply, at_infinity=at_infinity)
+        tail = zip_seqs(bta.tail, btb.tail, np.multiply, at_infinity=at_infinity)
     return block_tail_op(BlockTail(k, bta.block @ btb.block, tail))
 
 
@@ -1083,9 +1079,10 @@ def operator_from_json(obj: dict) -> OperatorRep:
     if variant == "diagonal":
         op = named_diagonal(obj["generator"])
         if "tail" in obj and obj["tail"] is not None:
-            declared = tail_from_json(obj["tail"])
-            op = DiagonalOp(DiagSeq(fn=op.seq.fn, tail=declared, name=op.seq.name,
-                                    vec_fn=op.seq.vec_fn, const_value=op.seq.const_value))
+            op = DiagonalOp(replace(op.seq, tail=tail_from_json(obj["tail"])))
+            if not check_tail_consistency(op.seq):
+                raise ValueError(f"declared tail {obj['tail']!r} does not fit the entries "
+                                 f"of generator {obj['generator']!r}")
         return op
     if variant == "sum":
         base = operator_from_json(obj["base"])

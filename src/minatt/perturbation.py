@@ -259,6 +259,19 @@ def _check_construction(case: PerturbationCase, base: AttainmentCertificate,
                 f"= {base.value - inner / 2.0}")
 
 
+def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,
+            base: AttainmentCertificate, inner: float | None, tag: PerturbationCase,
+            epsilon: float, prefix: int) -> PerturbationResult:
+    """Certify T + S for a built S: witness, construction check, ||S|| and gap."""
+    perturbed = add_operators(op, s)
+    witness = minimum_modulus(perturbed, prefix=prefix)
+    _check_construction(case, base, witness, inner)
+    norm_s = operator_norm(s, prefix=prefix)
+    gap_bound, gap_route = _certified_gap(perturbed, op,
+                                          norm_s.value + norm_s.tail_slack, prefix)
+    return PerturbationResult(s, tag, epsilon, inner, witness, norm_s, gap_bound, gap_route)
+
+
 def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
                                      prefix: int = DEFAULT_PREFIX) -> PerturbationResult:
     """Minimum-attaining perturbation of a positive operator.
@@ -270,25 +283,12 @@ def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
         raise ValueError("epsilon must be positive")
     _require_positive(op, "attainment_perturbation_positive")
     case, s, inner, base = _positive_construction(op, epsilon, prefix)
-    perturbed = add_operators(op, s)
-    witness = minimum_modulus(perturbed, prefix=prefix)
-    _check_construction(case, base, witness, inner)
-    norm_s = operator_norm(s, prefix=prefix)
-    gap_bound, gap_route = _certified_gap(perturbed, op,
-                                          norm_s.value + norm_s.tail_slack, prefix)
-    return PerturbationResult(s, case, epsilon, inner, witness, norm_s,
-                              gap_bound, gap_route)
+    return _finish(op, s, case, base, inner, case, epsilon, prefix)
 
 
 # ---------------------------------------------------------------------------
 # General closed operators via the polar decomposition
 # ---------------------------------------------------------------------------
-
-
-def _compose_isometry(v: OperatorRep, a: OperatorRep) -> OperatorRep:
-    # A has a constant tail (0 or eps/2), so the entrywise product with the
-    # bounded phase tail of V needs no behaviour at infinity
-    return compose_operators(v, a)
 
 
 def attainment_perturbation(op: OperatorRep, epsilon: float, *,
@@ -311,20 +311,16 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
         s = zero_like(op)  # nothing was composed; keep the honest tag
         tag = case
     else:
-        s = _compose_isometry(parts.isometry, a)
+        # A has a constant tail (0 or eps/2), so the entrywise product with
+        # the bounded phase tail of V needs no behaviour at infinity
+        s = compose_operators(parts.isometry, a)
         tag = PerturbationCase.POLAR_COMPOSED
-    perturbed = add_operators(op, s)
-    witness = minimum_modulus(perturbed, prefix=prefix)
-    _check_construction(case, base, witness, inner)
+    result = _finish(op, s, case, base, inner, tag, epsilon, prefix)
     positive_witness = minimum_modulus(add_operators(parts.modulus, a), prefix=prefix)
-    if abs(witness.value - positive_witness.value) > CHECK_TOL:
-        raise ArithmeticError(
-            f"m(T+S) = {witness.value} drifted from m(|T|+A) = {positive_witness.value}")
-    norm_s = operator_norm(s, prefix=prefix)
-    gap_bound, gap_route = _certified_gap(perturbed, op,
-                                          norm_s.value + norm_s.tail_slack, prefix)
-    return PerturbationResult(s, tag, epsilon, inner,
-                              witness, norm_s, gap_bound, gap_route)
+    if abs(result.witness.value - positive_witness.value) > CHECK_TOL:
+        raise ArithmeticError(f"m(T+S) = {result.witness.value} drifted from "
+                              f"m(|T|+A) = {positive_witness.value}")
+    return result
 
 
 def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
@@ -344,17 +340,11 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     inner = epsilon if epsilon < cert.value else cert.value / 2.0
     x = near_minimizer(parts.modulus, inner, prefix=prefix)
     a = add_rank_one(zero_like(op), RankOneTerm(-inner, x, x))
-    s = _compose_isometry(parts.isometry, a)
+    s = compose_operators(parts.isometry, a)  # A's tail is the constant 0
     if isinstance(s, SumOp) and len(s.terms) > 1:
         raise ArithmeticError("composed perturbation is not rank one")
-    perturbed = add_operators(op, s)
-    witness = minimum_modulus(perturbed, prefix=prefix)
-    _check_construction(PerturbationCase.POSITIVE_BOUNDED_BELOW, cert, witness, inner)
-    norm_s = operator_norm(s, prefix=prefix)
-    gap_bound, gap_route = _certified_gap(perturbed, op,
-                                          norm_s.value + norm_s.tail_slack, prefix)
-    return PerturbationResult(s, PerturbationCase.BOUNDED_BELOW_RANK_ONE, epsilon,
-                              inner, witness, norm_s, gap_bound, gap_route)
+    return _finish(op, s, PerturbationCase.POSITIVE_BOUNDED_BELOW, cert, inner,
+                   PerturbationCase.BOUNDED_BELOW_RANK_ONE, epsilon, prefix)
 
 
 # ---------------------------------------------------------------------------

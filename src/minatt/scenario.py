@@ -15,6 +15,8 @@ identical bytes apart from the ``timing`` section.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -380,8 +382,10 @@ def report_to_json(report: Report, *, include_timing: bool = True) -> str:
 def report_to_csv(report: Report) -> str:
     # the value column carries full repr precision so it agrees with the
     # JSON emission digit for digit; seconds is the only nondeterministic column
-    lines = ["name,kind,value,pass,seconds"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["name", "kind", "value", "pass", "seconds"])
     for r in report.records:
-        lines.append(f"{r.name},{r.kind},{r.value!r},{str(r.passed).lower()},"
-                     f"{r.seconds:.6f}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([r.name, r.kind, repr(r.value), str(r.passed).lower(),
+                         f"{r.seconds:.6f}"])
+    return out.getvalue()

@@ -247,33 +247,44 @@ def _hermitian_defect(arr: np.ndarray) -> float:
     return float(np.max(np.abs(arr - arr.conj().T)))
 
 
-def _positivity(op: OperatorRep, sample: int = 4096) -> tuple[bool, str]:
-    """Check self-adjointness plus nonnegative spectrum on the sample prefix."""
+def _self_adjoint(op: OperatorRep, sample: int = 4096) -> tuple[str, float]:
+    """Why T is not self-adjoint ("" when it is), and its lowest sampled spectral point.
+
+    The lowest point is taken over the eigenvalues of the dense part, the
+    first ``sample`` diagonal entries beyond it and the declared accumulation
+    points; it is NaN when T is not self-adjoint.
+    """
     if not op.is_l2:
         arr = _dense(op)
         if arr.shape[0] != arr.shape[1]:
-            return False, "not square"
+            return "not square", math.nan
         if _hermitian_defect(arr) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(arr)))):
-            return False, "not self-adjoint"
-        lo = float(np.min(np.linalg.eigvalsh(arr)))
-        if lo < -HERMITIAN_TOL:
-            return False, f"negative eigenvalue {lo}"
-        return True, ""
+            return "not self-adjoint", math.nan
+        return "", float(np.min(np.linalg.eigvalsh(arr)))
     bt = block_tail(op)
-    if bt.k:
-        if _hermitian_defect(bt.block) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(bt.block)))):
-            return False, "leading block not self-adjoint"
-        lo = float(np.min(np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T))))
-        if lo < -HERMITIAN_TOL:
-            return False, f"leading block has negative eigenvalue {lo}"
+    if bt.k and _hermitian_defect(bt.block) > HERMITIAN_TOL * max(
+            1.0, float(np.max(np.abs(bt.block)))):
+        return "leading block not self-adjoint", math.nan
     vals = bt.tail.values(max(sample, bt.k + 1))[bt.k:]
     if vals.size and float(np.max(np.abs(vals.imag))) > HERMITIAN_TOL:
-        return False, "diagonal entries not real"
-    if vals.size and float(np.min(vals.real)) < -HERMITIAN_TOL:
-        return False, "negative diagonal entry"
-    for p in accumulation_points(bt.tail.tail):
-        if abs(p.imag) > HERMITIAN_TOL or p.real < -HERMITIAN_TOL:
-            return False, f"accumulation point {p} not in [0, inf)"
+        return "diagonal entries not real", math.nan
+    points = accumulation_points(bt.tail.tail)
+    for p in points:
+        if abs(p.imag) > HERMITIAN_TOL:
+            return f"accumulation point {p} not real", math.nan
+    lows = [float(np.min(vals.real, initial=math.inf))] + [p.real for p in points]
+    if bt.k:
+        lows.append(float(np.min(np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)))))
+    return "", min(lows)
+
+
+def _positivity(op: OperatorRep) -> tuple[bool, str]:
+    """Check self-adjointness plus nonnegative spectrum on the sample prefix."""
+    why, lo = _self_adjoint(op)
+    if why:
+        return False, why
+    if lo < -HERMITIAN_TOL:
+        return False, f"negative spectral point {lo}"
     return True, ""
 
 
@@ -293,14 +304,13 @@ def _sqrt_psd(arr: np.ndarray) -> np.ndarray:
 def square_root(op: OperatorRep) -> OperatorRep:
     """The positive square root of a positive operator, exactly representable."""
     _require_positive(op, "square_root")
-    f = lambda z: complex(math.sqrt(max(z.real, 0.0)))
-    vec_f = lambda a: np.sqrt(np.clip(a.real, 0.0, None)).astype(complex)
+    f = lambda a: np.sqrt(np.clip(a.real, 0.0, None))
     if not op.is_l2:
         return MatrixOp(_sqrt_psd(_dense(op)))
     if isinstance(op, DiagonalOp):
-        return DiagonalOp(map_seq(op.seq, f, vec_f=vec_f, at_infinity="diverges"))
+        return DiagonalOp(map_seq(op.seq, f, at_infinity="diverges"))
     bt = block_tail(op)
-    tail = map_seq(bt.tail, f, vec_f=vec_f, at_infinity="diverges")
+    tail = map_seq(bt.tail, f, at_infinity="diverges")
     return block_tail_op(BlockTail(bt.k, _sqrt_psd(bt.block), tail))
 
 
@@ -311,14 +321,12 @@ def _modulus_dense(arr: np.ndarray) -> np.ndarray:
 
 def modulus(op: OperatorRep) -> OperatorRep:
     """|T| = (T* T)^(1/2); block and tail transform independently."""
-    f = lambda z: complex(abs(z))
-    vec_f = lambda a: np.abs(a).astype(complex)
     if not op.is_l2:
         return MatrixOp(_modulus_dense(_dense(op)))
     if isinstance(op, DiagonalOp):
-        return DiagonalOp(map_seq(op.seq, f, vec_f=vec_f, at_infinity="diverges"))
+        return DiagonalOp(map_seq(op.seq, np.abs, at_infinity="diverges"))
     bt = block_tail(op)
-    tail = map_seq(bt.tail, f, vec_f=vec_f, at_infinity="diverges")
+    tail = map_seq(bt.tail, np.abs, at_infinity="diverges")
     return block_tail_op(BlockTail(bt.k, _modulus_dense(bt.block), tail))
 
 
@@ -330,12 +338,10 @@ def _phase_seq(seq: DiagSeq, sample: int = 4096) -> DiagSeq:
     so the tail is inferred from the late prefix; more than a few distinct
     phase clusters is rejected rather than misdeclared.
     """
-    f = lambda z: z / abs(z) if z != 0 else 0j
-    vec_f = _phase_vec
     tail = seq.tail
     singular = tail_diverges(tail) or any(abs(p) < NULL_TOL for p in accumulation_points(tail))
     if not singular:
-        return map_seq(seq, f, vec_f=vec_f)
+        return map_seq(seq, _phase_vec)
     window = seq.values(sample)[sample // 2:]
     phases = _phase_vec(window)
     reps: list[complex] = []
@@ -345,7 +351,7 @@ def _phase_seq(seq: DiagSeq, sample: int = 4096) -> DiagSeq:
     if len(reps) > 12:
         raise NotRepresentableError("phase tail has too many clusters to declare")
     from .operators import FiniteRange
-    return map_seq(seq, f, vec_f=vec_f, tail=FiniteRange(tuple(reps)))
+    return map_seq(seq, _phase_vec, tail=FiniteRange(tuple(reps)))
 
 
 def _phase_vec(a: np.ndarray) -> np.ndarray:
@@ -381,23 +387,10 @@ def polar(op: OperatorRep) -> PolarParts:
 # ---------------------------------------------------------------------------
 
 
-def _require_self_adjoint(op: OperatorRep, sample: int = 4096):
-    if not op.is_l2:
-        arr = _dense(op)
-        if arr.shape[0] != arr.shape[1] or \
-                _hermitian_defect(arr) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(arr)))):
-            raise ValueError("spectral reports require a self-adjoint operator")
-        return
-    bt = block_tail(op)
-    if bt.k and _hermitian_defect(bt.block) > HERMITIAN_TOL * max(
-            1.0, float(np.max(np.abs(bt.block)))):
-        raise ValueError("spectral reports require a self-adjoint operator")
-    vals = bt.tail.values(max(sample, bt.k + 1))[bt.k:]
-    if vals.size and float(np.max(np.abs(vals.imag))) > HERMITIAN_TOL:
-        raise ValueError("spectral reports require real diagonal entries")
-    for p in accumulation_points(bt.tail.tail):
-        if abs(p.imag) > HERMITIAN_TOL:
-            raise ValueError("spectral reports require real accumulation points")
+def _require_self_adjoint(op: OperatorRep):
+    why, _ = _self_adjoint(op)
+    if why:
+        raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
 
 def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_constant_seq_round_trip():
 
 def test_map_seq_tracks_root():
     base = named_diagonal("inv_n").seq
-    doubled = map_seq(base, lambda z: 2 * z, vec_f=lambda a: 2 * a)
+    doubled = map_seq(base, lambda z: 2 * z)
     np.testing.assert_allclose(doubled.values(6), 2 * base.values(6))
     z = zip_seqs(doubled, base, lambda x, y: x - y)
     np.testing.assert_allclose(z.values(6), base.values(6))
@@ -249,6 +249,55 @@ def test_tail_consistency_finite_range_needs_every_point_visited():
 def test_tail_consistency_flags_misplaced_accumulation():
     lying = diagonal_seq(lambda n: 1.0 / n, DeclaredAccumulation((5.0,)))
     assert not check_tail_consistency(lying, n=2000)
+
+
+@pytest.mark.parametrize("n", [2000, 10**4, 10**6])
+def test_tail_consistency_accepts_slowly_shrinking_deviations(n):
+    seqs = [named_diagonal(name).seq
+            for name in ("one_plus_inv_n", "inv_n", "alternating01", "linear_n")]
+    seqs.append(diagonal_seq(None, ConvergesTo(0.0), vec_fn=lambda a: 1.0 / np.sqrt(a)))
+    seqs.append(diagonal_seq(None, ConvergesTo(0.0), vec_fn=lambda a: 1.0 / np.log(a + 1.0)))
+    for seq in seqs:
+        assert check_tail_consistency(seq, n=n)
+
+
+def test_tail_consistency_flags_wrong_limit_of_a_converging_sequence():
+    lying = diagonal_seq(None, ConvergesTo(0.5), vec_fn=lambda a: 1.0 + 1.0 / a)
+    for n in (2000, 10**4, 10**6):
+        assert not check_tail_consistency(lying, n=n)
+
+
+def test_tail_override_that_misfits_the_generator_rejected_at_load():
+    doc = {"variant": "diagonal", "generator": "one_plus_inv_n",
+           "tail": {"kind": "converges_to", "limit": 0.5}}
+    with pytest.raises(ValueError, match="does not fit"):
+        operator_from_json(doc)
+    doc["tail"]["limit"] = 1.0
+    assert operator_from_json(doc).seq.tail == ConvergesTo(1.0)
+
+
+def test_derived_sum_evaluates_its_generator_once_on_an_array():
+    calls = []
+
+    def gen(indices):
+        calls.append(indices)
+        return 1.0 + 1.0 / indices
+
+    t = DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=gen))
+    total = add_operators(t, scale_shift(t, 2, 0))
+    calls.clear()
+    n = 10**5
+    vals = total.seq.values(n)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+    want = 3.0 * (1.0 + 1.0 / np.arange(1, n + 1))
+    np.testing.assert_allclose(vals, want, rtol=1e-15, atol=0)
+
+
+def test_scalar_generator_sees_python_ints():
+    seen = []
+    seq = diagonal_seq(lambda n: seen.append(type(n)) or 1.0 / n, ConvergesTo(0.0))
+    np.testing.assert_array_equal(seq.values(3), [1.0, 0.5, 1.0 / 3])
+    assert seen == [int, int, int]
 
 
 # ---------------------------------------------------------------------------

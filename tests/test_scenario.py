@@ -1,5 +1,7 @@
 """Scenario configs, batch execution, report emission and the CLI."""
 
+import csv
+import io
 import json
 import math
 
@@ -221,6 +223,22 @@ def test_json_report_can_include_timing():
     config = load_config(_config_doc())
     doc = json.loads(report_to_json(run_scenario(config, seed=7)))
     assert set(doc["timing"]) == {"perExperiment", "totalSeconds"}
+
+
+def test_csv_report_quotes_names_with_commas():
+    doc = {"operators": {"drop": {"variant": "diagonal", "generator": "one_plus_inv_n"}},
+           "defaults": {"truncationN": 2000},
+           "experiments": [{"kind": "spectrum", "name": "a,b", "target": "drop"}]}
+    rows = list(csv.reader(io.StringIO(report_to_csv(run_scenario(load_config(doc))))))
+    assert [len(r) for r in rows] == [5, 5]
+    assert rows[1][:2] == ["a,b", "spectrum"]
+
+
+def test_misdeclared_tail_is_a_config_error():
+    doc = _config_doc()
+    doc["operators"]["drop"]["tail"] = {"kind": "converges_to", "limit": 0.5}
+    with pytest.raises(ConfigError, match="drop"):
+        load_config(doc)
 
 
 def test_csv_report_shape():
