@@ -29,11 +29,9 @@ from .operators import (
     DEFAULT_PREFIX,
     BlockTail,
     DiagSeq,
-    DiagonalOp,
     MatrixOp,
     NormBound,
     OperatorRep,
-    SumOp,
     Vec,
     accumulation_points,
     add_operators,
@@ -45,7 +43,8 @@ from .operators import (
     shared_root,
     tail_diverges,
 )
-from .operators import _chordal, _chordal_to_infinity, _chordal_window_dev, _dense
+from .operators import (_chordal, _chordal_to_infinity, _chordal_window_dev, _common_support,
+                        _dense)
 from .spectral import _sqrt_psd
 
 __all__ = [
@@ -66,6 +65,11 @@ ROUTE_AGREE_TOL = 1e-10
 # floor added to every certified tail bound; covers float evaluation of the
 # chordal formula itself
 FLOAT_SLACK = 1e-12
+
+# largest l2 truncation the graph route accepts: it forms two dense 2N x 2N
+# projections, so time grows like N^3 and memory like N^2 (about 20 s at
+# 1000; the default prefix of 10000 would need more than 12 GB)
+GRAPH_TRUNCATION_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -134,16 +138,13 @@ def defect_resolvent(op: OperatorRep) -> DefectPair:
         check = np.linalg.solve(np.eye(n) + arr.conj().T @ arr, np.eye(n))
         hat = np.linalg.solve(np.eye(m) + arr @ arr.conj().T, np.eye(m))
         return DefectPair(MatrixOp(check), MatrixOp(hat))
-    if isinstance(op, DiagonalOp):
-        d = DiagonalOp(map_seq(op.seq, _defect_map, at_infinity=0.0))
-        return DefectPair(d, d)
     bt = block_tail(op)
     tail = map_seq(bt.tail, _defect_map, at_infinity=0.0)
     eye = np.eye(bt.k)
     check_block = np.linalg.solve(eye + bt.block.conj().T @ bt.block, eye)
     hat_block = np.linalg.solve(eye + bt.block @ bt.block.conj().T, eye)
-    return DefectPair(block_tail_op(BlockTail(bt.k, check_block, tail)),
-                      block_tail_op(BlockTail(bt.k, hat_block, tail)))
+    return DefectPair(block_tail_op(BlockTail(bt.support, check_block, tail)),
+                      block_tail_op(BlockTail(bt.support, hat_block, tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +212,17 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
     """Gap via graph projections { (x, Tx) }.
 
     Matrices are handled exactly.  l2 operators are compared through their
-    ``truncation`` compressions, so the result carries no tail certificate;
-    use the diagonal route for certified l2 gaps.
+    ``truncation`` compressions, at most ``GRAPH_TRUNCATION_LIMIT``, so the
+    result carries no tail certificate; use the diagonal route for certified
+    l2 gaps.
     """
     if a.is_l2 or b.is_l2:
         if not (a.is_l2 and b.is_l2):
             raise ValueError("graph route needs operators on a common space")
         n = truncation or DEFAULT_PREFIX
+        if n > GRAPH_TRUNCATION_LIMIT:
+            raise ValueError(f"graph route on l2 operators takes a truncation of at most "
+                             f"{GRAPH_TRUNCATION_LIMIT}, got {n}")
         from .operators import truncate
         da, db = truncate(a, n).array, truncate(b, n).array
         value = _projection_gap(_graph_projection(da), _graph_projection(db))
@@ -250,9 +255,9 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
     """Gap from the defect-resolvent formula, no graph bases involved.
 
     Matrices of a common shape are evaluated densely.  Diagonally aligned
-    l2 pairs decouple: the formula is applied densely to the exact leading
-    block and coordinatewise beyond it, with the tail certified the same
-    way as on the diagonal route.
+    l2 pairs decouple: the formula is applied densely on the union of the
+    two supports and coordinatewise off it, with the tail certified the
+    same way as on the diagonal route.
     """
     if not s.is_l2 and not t.is_l2:
         ds, dt = _dense(s), _dense(t)
@@ -261,12 +266,12 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
         return GapResult(_closed_form_dense(ds, dt), "closed_form", None, 0.0)
     if not (s.is_l2 and t.is_l2):
         raise ValueError("closed form needs operators on a common space")
-    sv, s_seq, tv, t_seq, k = _aligned_profiles(s, t, prefix)
-    dense_part = _closed_form_dense(np.diag(sv[:k]), np.diag(tv[:k]))
+    bs, bt, window = _aligned_profiles(s, t, prefix)
+    sv, tv = bs.tail_entries(prefix), bt.tail_entries(prefix)
+    dense_part = _closed_form_dense(np.diag(np.diag(bs.block)), np.diag(np.diag(bt.block)))
     g = _chordal(sv, tv)
-    scan = float(np.max(g[k:])) if g.size > k else 0.0
-    prefix_part = max(dense_part, scan)
-    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, s_seq, t_seq, k)
+    prefix_part = max(dense_part, float(np.max(g, initial=0.0)))
+    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, bs.tail, bt.tail, window)
     return GapResult(value, "closed_form", prefix, tail_bound)
 
 
@@ -275,38 +280,23 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
 # ---------------------------------------------------------------------------
 
 
-def _diag_profile(op: OperatorRep, prefix: int) -> tuple[np.ndarray, DiagSeq, int]:
-    """Exact diagonal entries 1..prefix; rejects non-diagonal leading blocks."""
-    if not op.is_l2:
-        raise ValueError("diagonal route needs l2 operators")
-    bt = block_tail(op)
-    n = max(prefix, bt.k)
-    vals = bt.tail.values(n).copy()
-    if bt.k:
-        off = bt.block - np.diag(np.diag(bt.block))
-        scale = max(1.0, float(np.max(np.abs(bt.block))))
-        if float(np.max(np.abs(off))) > 1e-12 * scale:
-            raise ValueError("diagonal route needs diagonally aligned operators")
-        vals[:bt.k] = np.diag(bt.block)
-    return vals, bt.tail, bt.k
-
-
 def _aligned_profiles(s: OperatorRep, t: OperatorRep,
-                      prefix: int) -> tuple[np.ndarray, DiagSeq, np.ndarray, DiagSeq, int]:
-    """Diagonal profiles of both operators over one common index range.
+                      prefix: int) -> tuple[BlockTail, BlockTail, int]:
+    """Both operators split over the union of their supports; rejects non-diagonal blocks.
 
-    The range covers the requested prefix and both leading blocks, so the
-    dense block sizes never disagree even when one operator carries rank-one
-    terms supported past the other's block.
+    Their block entries and their tail entries then pair up.  The third
+    value is the position in the tail entries where the certification
+    window, the indices past prefix / 2, begins.
     """
-    sv, s_seq, k_s = _diag_profile(s, prefix)
-    tv, t_seq, k_t = _diag_profile(t, prefix)
-    k = max(k_s, k_t, 1)
-    n = max(prefix, 2 * k)
-    if sv.size != n or tv.size != n:
-        sv, s_seq, _ = _diag_profile(s, n)
-        tv, t_seq, _ = _diag_profile(t, n)
-    return sv, s_seq, tv, t_seq, k
+    if not (s.is_l2 and t.is_l2):
+        raise ValueError("diagonal route needs l2 operators")
+    pair = _common_support(s, t)
+    for bt in pair:
+        scale = max(1.0, float(np.max(np.abs(bt.block), initial=0.0)))
+        off = bt.block - np.diag(np.diag(bt.block))
+        if float(np.max(np.abs(off), initial=0.0)) > 1e-12 * scale:
+            raise ValueError("diagonal route needs diagonally aligned operators")
+    return pair + (pair[0].tail_position(prefix // 2 + 1),)
 
 
 def _ext_points(seq: DiagSeq) -> list[complex | None]:
@@ -359,20 +349,19 @@ def _pairs_match_declared(pairs, s_seq: DiagSeq, t_seq: DiagSeq) -> bool:
 
 
 def _certify_tail(prefix_part: float, g: np.ndarray, sv: np.ndarray, tv: np.ndarray,
-                  s_seq: DiagSeq, t_seq: DiagSeq, k: int = 0) -> tuple[float, float]:
+                  s_seq: DiagSeq, t_seq: DiagSeq, window: int) -> tuple[float, float]:
+    # g pairs the tail entries only: block entries are not tail transforms
+    # and would poison the overshoot estimate
     pairs, exact = _tail_pairs(s_seq, t_seq)
     pair_max = max((_g_ext(a, b) for a, b in pairs), default=0.0)
     value = max(prefix_part, pair_max)
-    # the window must sit past the dense block: block entries are not tail
-    # transforms and would poison the overshoot estimate
-    half = max(g.size // 2, k)
     if exact:
         # pair values are genuine limits, so value is a lower bound on the
         # true gap; the only upward play is the window's excess over them
-        overshoot = max(0.0, float(np.max(g[half:])) - pair_max) if g.size else 0.0
+        overshoot = max(0.0, float(np.max(g[window:], initial=-math.inf)) - pair_max)
         return value, overshoot + FLOAT_SLACK
-    dev = _chordal_window_dev(sv[half:], s_seq.tail) + \
-        _chordal_window_dev(tv[half:], t_seq.tail)
+    dev = _chordal_window_dev(sv[window:], s_seq.tail) + \
+        _chordal_window_dev(tv[window:], t_seq.tail)
     return value, (value - prefix_part) + dev + FLOAT_SLACK
 
 
@@ -387,10 +376,12 @@ def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
     window).  Unbounded entries cost nothing: the chordal distance of a
     divergent pair tends to zero.
     """
-    sv, s_seq, tv, t_seq, k = _aligned_profiles(s, t, prefix)
+    bs, bt, window = _aligned_profiles(s, t, prefix)
+    sv, tv = bs.tail_entries(prefix), bt.tail_entries(prefix)
     g = _chordal(sv, tv)
-    prefix_part = float(np.max(g)) if g.size else 0.0
-    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, s_seq, t_seq, k)
+    prefix_part = max(float(np.max(_chordal(np.diag(bs.block), np.diag(bt.block)), initial=0.0)),
+                      float(np.max(g, initial=0.0)))
+    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, bs.tail, bt.tail, window)
     return GapResult(value, "diagonal", prefix, tail_bound)
 
 

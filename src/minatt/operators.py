@@ -11,16 +11,19 @@ threads.  Actions on finite-support vectors are exact: nothing is silently
 truncated, and the declared tail metadata is what certifies statements
 about the infinitely many entries a prefix scan cannot see.
 
-An l2 operator in this class always decomposes as a dense leading block
-(direct sum) a plain diagonal tail; see :func:`block_tail`.  That split is
-what keeps norms, spectra and perturbation arithmetic exact downstream.
+An l2 operator in this class always decomposes as a dense block on the
+support of its rank-one terms (the coordinates they touch) direct sum a
+plain diagonal on the remaining coordinates; see :func:`block_tail`.  That
+split is what keeps norms, spectra and perturbation arithmetic exact
+downstream, at a cost set by the support, not by where it sits.  Only
+:class:`BlockTail` knows how the two parts interleave.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -478,23 +481,21 @@ def same_seq(a: DiagSeq, b: DiagSeq) -> bool:
 def check_tail_consistency(seq: DiagSeq, n: int = DEFAULT_PREFIX, tol: float = 1e-9) -> bool:
     """Heuristic guard against a grossly misdeclared tail.
 
-    For a convergent declaration the deviations from the limit must shrink:
-    the largest over the last quarter of the prefix may be at most 0.95
-    times the largest over the second quarter (plus ``tol``); periodic and
-    finite-range declarations must be realised by the late prefix; declared
-    accumulation sets must attract the late prefix in the chordal metric.
+    For a declared limit or accumulation set the deviations from it must
+    shrink: the largest over the last quarter of the prefix may be at most
+    0.95 times the largest over the second quarter (plus ``tol``).  They are
+    Euclidean, or chordal when a branch diverges, since a chordal deviation
+    from a finite point far from 0 is too small to notice.  Periodic and
+    finite-range declarations must be realised by the late prefix.
     """
     vals = seq.values(n)
-    half = n // 2
     tail = seq.tail
-    if isinstance(tail, ConvergesTo):
+    if isinstance(tail, (ConvergesTo, DeclaredAccumulation)):
         # merely not growing is not enough: entries settling at a distance
-        # from a wrongly declared limit keep a nearly constant deviation
-        dev = np.abs(vals - tail.limit)
+        # from a wrongly declared point keep a nearly constant deviation
+        dev = _chordal_window_dev if tail_diverges(tail) else _euclid_window_dev
         q = n // 4
-        early = np.max(dev[q:2 * q], initial=0.0)
-        late = np.max(dev[n - q:], initial=0.0)
-        return bool(late <= 0.95 * early + tol)
+        return dev(vals[n - q:], tail) <= 0.95 * dev(vals[q:2 * q], tail) + tol
     if isinstance(tail, Periodic):
         cycle = np.asarray(tail.values, dtype=complex)
         p = cycle.size
@@ -503,17 +504,12 @@ def check_tail_consistency(seq: DiagSeq, n: int = DEFAULT_PREFIX, tol: float = 1
             np.allclose(window, np.tile(np.roll(cycle, -s), 4)[: window.size], atol=tol)
             for s in range(p)
         )
-    if isinstance(tail, FiniteRange):
-        pts = np.asarray(tail.values, dtype=complex)
-        window = vals[half:]
-        dist = np.min(np.abs(window[:, None] - pts[None, :]), axis=1)
-        if np.max(dist) > tol:
-            return False
-        seen = np.min(np.abs(vals[:, None] - pts[None, :]), axis=0)
-        return bool(np.max(seen) <= tol)
-    dev_late = _chordal_window_dev(vals[half:], tail)
-    dev_early = _chordal_window_dev(vals[:half], tail) if half else 0.0
-    return dev_late < dev_early + tol
+    pts = np.asarray(tail.values, dtype=complex)
+    dist = np.min(np.abs(vals[n // 2:, None] - pts[None, :]), axis=1)
+    if np.max(dist) > tol:
+        return False
+    seen = np.min(np.abs(vals[:, None] - pts[None, :]), axis=0)
+    return bool(np.max(seen) <= tol)
 
 
 # chordal metric on C u {inf}; this is exactly the entrywise gap between
@@ -749,58 +745,94 @@ def list_generators() -> list[str]:
 
 @dataclass(frozen=True)
 class BlockTail:
-    """Exact split: dense k x k block on span(e_1..e_k), diagonal beyond."""
+    """Exact split of an l2 operator over span{e_i : i in support} (+) its complement.
 
-    k: int
+    ``support`` holds the sorted 1-based coordinates the block acts on;
+    ``block`` is the dense operator there, in support order.  On every other
+    coordinate the operator multiplies by the entry of ``tail``.  The
+    methods below are the only code that maps between block rows, tail
+    positions and l2 indices.
+    """
+
+    support: tuple[int, ...]
     block: np.ndarray
     tail: DiagSeq
 
-    def values_beyond(self, prefix: int) -> np.ndarray:
-        if prefix <= self.k:
-            return np.empty(0, dtype=complex)
-        return self.tail.values(prefix)[self.k:]
+    @property
+    def k(self) -> int:
+        """Dimension of the block."""
+        return len(self.support)
+
+    def tail_entries(self, prefix: int) -> np.ndarray:
+        """Tail entries at the indices 1..prefix off the support, in index order."""
+        vals = self.tail.values(prefix)
+        inside = [i - 1 for i in self.support if i <= prefix]
+        return np.delete(vals, inside) if inside else vals
+
+    def tail_index(self, position: int) -> int:
+        """The 1-based index of ``tail_entries(...)[position]``."""
+        index = position + 1
+        for i in self.support:
+            index += i <= index
+        return index
+
+    def tail_position(self, index: int) -> int:
+        """Position in ``tail_entries`` of the first entry at ``index`` or later."""
+        return index - 1 - int(np.searchsorted(self.support, index))
+
+    def embed(self, v: np.ndarray) -> Vec:
+        """The l2 vector whose support coordinates are the block vector ``v``."""
+        return Vec(tuple(zip(self.support, np.asarray(v, dtype=complex).tolist())), None)
+
+    def widen(self, support) -> "BlockTail":
+        """The same operator with its block on ``support``, a sorted superset."""
+        support = tuple(support)
+        at = np.searchsorted(support, self.support)
+        block = np.diag(self.tail.values_at(np.array(support, dtype=np.int64)))
+        block[np.ix_(at, at)] = self.block
+        return BlockTail(support, block, self.tail)
 
 
-def _shifted_seq(seq: DiagSeq, shift: complex) -> DiagSeq:
-    if shift == 0:
-        return seq
-    return map_seq(seq, lambda a: a + shift, at_infinity="diverges")
-
-
-def block_tail(op: OperatorRep, *, k_min: int = 0) -> BlockTail:
+def block_tail(op: OperatorRep) -> BlockTail:
     """Canonical block-plus-tail form of an l2 operator.
 
-    Finite-support rank-one terms only touch the leading block, so the
-    split is exact, not an approximation.
+    The block sits on the coordinates the rank-one terms touch; the operator
+    reduces over their span and its complement, so the split is exact, not
+    an approximation, and its size does not depend on how far out the terms
+    sit.
     """
     if isinstance(op, DiagonalOp):
-        k = k_min
-        vals = op.seq.values(k)
-        return BlockTail(k, np.diag(vals) if k else np.zeros((0, 0), dtype=complex), op.seq)
-    if isinstance(op, SumOp) and isinstance(op.base, DiagonalOp):
-        k = max(k_min, max((t.max_support for t in op.terms), default=0))
-        tail = _shifted_seq(op.base.seq, op.shift)
-        block = np.diag(tail.values(k)) if k else np.zeros((0, 0), dtype=complex)
-        for t in op.terms:
-            if k:
-                block = block + t.dense(k)
-        return BlockTail(k, block, tail)
-    raise NotRepresentableError("block-tail form requires an l2 operator")
+        op = SumOp(op)
+    if not (isinstance(op, SumOp) and isinstance(op.base, DiagonalOp)):
+        raise NotRepresentableError("block-tail form requires an l2 operator")
+    support = tuple(sorted({i for t in op.terms for v in (t.left, t.right)
+                            for i, _ in v.entries}))
+
+    def on_support(v: Vec) -> np.ndarray:
+        entries = dict(v.entries)
+        return np.array([entries.get(i, 0j) for i in support], dtype=complex)
+
+    shift, tail = op.shift, op.base.seq
+    if shift != 0:
+        tail = map_seq(tail, lambda a: a + shift, at_infinity="diverges")
+    block = np.diag(tail.values_at(np.array(support, dtype=np.int64)))
+    for t in op.terms:
+        block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
+    return BlockTail(support, block, tail)
 
 
 def block_tail_op(bt: BlockTail, *, drop_tol: float = RANK_TOL) -> OperatorRep:
     """Rebuild a representable operator from a block-plus-tail form."""
     if bt.k == 0:
         return DiagonalOp(bt.tail)
-    diff = bt.block - np.diag(bt.tail.values(bt.k))
+    diff = bt.block - np.diag(bt.tail.values_at(np.array(bt.support, dtype=np.int64)))
     terms = []
-    scale = max(1.0, float(np.max(np.abs(diff))) if diff.size else 0.0)
+    scale = max(1.0, float(np.max(np.abs(diff))))
     u, s, vh = np.linalg.svd(diff)
     for i, sv in enumerate(s):
         if sv <= drop_tol * scale:
             continue
-        terms.append(RankOneTerm(sv, Vec.from_dense(vh[i].conj(), dim=None),
-                                 Vec.from_dense(u[:, i], dim=None)))
+        terms.append(RankOneTerm(sv, bt.embed(vh[i].conj()), bt.embed(u[:, i])))
     return SumOp(DiagonalOp(bt.tail), 0j, tuple(terms)) if terms else DiagonalOp(bt.tail)
 
 
@@ -876,20 +908,23 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
         if da.shape != db.shape:
             raise ValueError("shape mismatch")
         return MatrixOp(da + db)
-    bta = block_tail(a)
-    btb = block_tail(b)
-    k = max(bta.k, btb.k)
-    bta = block_tail(a, k_min=k)
-    btb = block_tail(b, k_min=k)
+    bta, btb = _common_support(a, b)
     tail = zip_seqs(bta.tail, btb.tail, np.add, at_infinity="diverges")
-    return block_tail_op(BlockTail(k, bta.block + btb.block, tail))
+    return block_tail_op(BlockTail(bta.support, bta.block + btb.block, tail))
+
+
+def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTail]:
+    """Block-tail forms of two l2 operators, widened to the union of their supports."""
+    bta, btb = block_tail(a), block_tail(b)
+    support = sorted(set(bta.support) | set(btb.support))
+    return bta.widen(support), btb.widen(support)
 
 
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:
     """The composition a(b(x)), kept inside the representable class.
 
-    For l2 operands both split at a common block size, so blocks multiply
-    densely and tails multiply entrywise.  A divergent root sequence needs
+    For l2 operands both split over the union of their supports, so blocks
+    multiply densely and tails multiply entrywise.  A divergent root sequence needs
     ``at_infinity`` to say where the product of the two tails heads
     (a scalar or the string ``"diverges"``); bounded roots need nothing.
     """
@@ -900,16 +935,14 @@ def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> Op
         if da.shape[1] != db.shape[0]:
             raise ValueError("shape mismatch in composition")
         return MatrixOp(da @ db)
-    k = max(block_tail(a).k, block_tail(b).k)
-    bta = block_tail(a, k_min=k)
-    btb = block_tail(b, k_min=k)
+    bta, btb = _common_support(a, b)
     if bta.tail.const_value == 0 or btb.tail.const_value == 0:
         # a zero factor annihilates entrywise, so the product tail is the
         # constant zero even when the other tail is lazy or divergent
         tail = constant_seq(0.0)
     else:
         tail = zip_seqs(bta.tail, btb.tail, np.multiply, at_infinity=at_infinity)
-    return block_tail_op(BlockTail(k, bta.block @ btb.block, tail))
+    return block_tail_op(BlockTail(bta.support, bta.block @ btb.block, tail))
 
 
 def truncate(op: OperatorRep, n: int) -> MatrixOp:
@@ -926,23 +959,19 @@ def truncate(op: OperatorRep, n: int) -> MatrixOp:
         out = np.zeros((n, n), dtype=complex)
         out[:r, :c] = op.array[:r, :c]
         return MatrixOp(out)
-    if isinstance(op, DiagonalOp):
-        return MatrixOp(np.diag(op.seq.values(n)))
-    if isinstance(op, SumOp):
-        for t in op.terms:
-            if t.max_support > n:
-                raise ValueError(
-                    f"rank-one support {t.max_support} exceeds truncation size {n}")
-        if isinstance(op.base, DiagonalOp):
-            bt = block_tail(op, k_min=n)
-            return MatrixOp(bt.block)
-        base = truncate(op.base, n).array.copy()
-        if op.shift != 0:
-            base += op.shift * np.eye(n)
-        for t in op.terms:
-            base += t.dense(n)
-        return MatrixOp(base)
-    raise TypeError(f"not an operator: {op!r}")
+    if not isinstance(op, (SumOp, DiagonalOp)):
+        raise TypeError(f"not an operator: {op!r}")
+    for t in getattr(op, "terms", ()):
+        if t.max_support > n:
+            raise ValueError(f"rank-one support {t.max_support} exceeds truncation size {n}")
+    if op.is_l2:
+        return MatrixOp(block_tail(op).widen(range(1, n + 1)).block)
+    base = truncate(op.base, n).array.copy()
+    if op.shift != 0:
+        base += op.shift * np.eye(n)
+    for t in op.terms:
+        base += t.dense(n)
+    return MatrixOp(base)
 
 
 @dataclass(frozen=True)
@@ -976,11 +1005,10 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     tail = bt.tail.tail
     if tail_diverges(tail):
         raise UnboundedOperatorError("diagonal entries diverge; operator is unbounded")
-    vals = bt.tail.values(max(prefix, bt.k + 1))
-    scan = np.abs(vals[bt.k:])
+    vals = bt.tail_entries(prefix)
     acc_sup = max((abs(p) for p in accumulation_points(tail)), default=0.0)
-    value = max(_spectral_norm(bt.block), float(np.max(scan, initial=0.0)), acc_sup)
-    dev = _euclid_window_dev(vals[len(vals) // 2:], tail)
+    value = max(_spectral_norm(bt.block), float(np.max(np.abs(vals), initial=0.0)), acc_sup)
+    dev = _euclid_window_dev(vals[bt.tail_position(prefix // 2 + 1):], tail)
     slack = max(0.0, acc_sup + dev - value)
     return NormBound(value, slack)
 

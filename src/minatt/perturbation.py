@@ -155,9 +155,9 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
     """A unit x with <Tx, x> < m(T) + epsilon/2, strictly (margin 1e-12).
 
     Positive operators only.  Matrices take the minimal eigenvector; l2
-    operators take the leading-block eigenvector when it qualifies and the
-    smallest qualifying diagonal index otherwise, scanning lazily past the
-    prefix up to ``scan_limit`` entries.
+    operators take the block eigenvector when it qualifies and the smallest
+    qualifying diagonal index off the block otherwise, scanning lazily past
+    the prefix up to ``scan_limit`` entries.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -176,13 +176,12 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
     if bt.k:
         w, u = np.linalg.eigh(0.5 * (bt.block + bt.block.conj().T))
         if w[0] < threshold - STRICT_MARGIN:
-            return Vec.from_dense(u[:, 0], dim=None)
-    n = max(prefix, bt.k + 1)
+            return bt.embed(u[:, 0])
+    n = prefix
     while True:
-        vals = bt.tail.values(n)[bt.k:].real
-        hits = np.nonzero(vals < threshold - STRICT_MARGIN)[0]
+        hits = np.nonzero(bt.tail_entries(n).real < threshold - STRICT_MARGIN)[0]
         if hits.size:
-            return Vec.basis(bt.k + int(hits[0]) + 1)
+            return Vec.basis(bt.tail_index(int(hits[0])))
         if n >= scan_limit:
             # an index exists whenever the infimum is approached through the
             # tail, but the scan budget ran out before reaching it

@@ -22,12 +22,10 @@ import numpy as np
 from .operators import (
     DEFAULT_PREFIX,
     BlockTail,
-    DiagonalOp,
     DiagSeq,
     MatrixOp,
     NotRepresentableError,
     OperatorRep,
-    SumOp,
     Vec,
     accumulation_points,
     block_tail,
@@ -58,6 +56,9 @@ HERMITIAN_TOL = 1e-10
 EIGEN_TOL = 1e-8
 ISOLATION_GAP = 1e-6
 MULTIPLICITY_TOL = 1e-9
+
+# Self-adjointness and positivity look at this many diagonal entries.
+SAMPLE = 4096
 
 # Accumulation detection from raw truncation eigenvalues: a point is flagged
 # when at least MIN_CLUSTER eigenvalues land within +-DETECT_WINDOW of it.
@@ -163,9 +164,9 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
     """m(T) with an attainment certificate.
 
     For matrices this is the smallest singular value and is always attained.
-    For l2 operators the minimum over the leading block and the scanned
-    prefix is compared against the declared tail infimum: attainment holds
-    exactly when the prefix reaches at least as low as the tail ever will.
+    For l2 operators the minimum over the block and the scanned prefix is
+    compared against the declared tail infimum: attainment holds exactly
+    when the prefix reaches at least as low as the tail ever will.
     Ties resolve to the block first, then to the smallest scan index.
     """
     if not op.is_l2:
@@ -177,26 +178,18 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
         return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
 
     bt = block_tail(op)
-    n = max(prefix, bt.k + 1)
-    scan = np.abs(bt.tail.values(n)[bt.k:])
-    scan_min = float(np.min(scan))
-    scan_index = bt.k + int(np.argmin(scan)) + 1
+    scan = np.abs(bt.tail_entries(prefix))
+    scan_min = float(np.min(scan, initial=math.inf))
     tail_inf = _tail_abs_inf(bt)
 
-    block_min = math.inf
-    block_vec = None
-    if bt.k:
-        _, s, vh = np.linalg.svd(bt.block)
-        block_min = float(s[-1])
-        block_vec = Vec.from_dense(vh[-1].conj(), dim=None)
-
-    prefix_min = min(block_min, scan_min)
-    if prefix_min <= tail_inf:
-        if block_min <= scan_min:
-            witness = block_vec
+    _, s, vh = np.linalg.svd(bt.block)
+    block_min = float(s[-1]) if bt.k else math.inf
+    if min(block_min, scan_min) <= tail_inf:
+        if bt.k and block_min <= scan_min:
+            witness = bt.embed(vh[-1].conj())
             value = block_min
         else:
-            witness = Vec.basis(scan_index)
+            witness = Vec.basis(bt.tail_index(int(np.argmin(scan))))
             value = scan_min
         applied = op.apply(witness)
         residual = abs(applied.norm() / witness.norm() - value)
@@ -241,48 +234,42 @@ def is_minimum_attaining(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX,
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_defect(arr: np.ndarray) -> float:
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr - arr.conj().T)))
+def _hermitian(arr: np.ndarray) -> bool:
+    scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
+    return float(np.max(np.abs(arr - arr.conj().T), initial=0.0)) <= HERMITIAN_TOL * scale
 
 
-def _self_adjoint(op: OperatorRep, sample: int = 4096) -> tuple[str, float]:
-    """Why T is not self-adjoint ("" when it is), and its lowest sampled spectral point.
-
-    The lowest point is taken over the eigenvalues of the dense part, the
-    first ``sample`` diagonal entries beyond it and the declared accumulation
-    points; it is NaN when T is not self-adjoint.
-    """
+def _not_self_adjoint(op: OperatorRep) -> str:
+    """Why T is not self-adjoint, or "" when it is (on the sampled prefix)."""
     if not op.is_l2:
         arr = _dense(op)
         if arr.shape[0] != arr.shape[1]:
-            return "not square", math.nan
-        if _hermitian_defect(arr) > HERMITIAN_TOL * max(1.0, float(np.max(np.abs(arr)))):
-            return "not self-adjoint", math.nan
-        return "", float(np.min(np.linalg.eigvalsh(arr)))
+            return "not square"
+        return "" if _hermitian(arr) else "not self-adjoint"
     bt = block_tail(op)
-    if bt.k and _hermitian_defect(bt.block) > HERMITIAN_TOL * max(
-            1.0, float(np.max(np.abs(bt.block)))):
-        return "leading block not self-adjoint", math.nan
-    vals = bt.tail.values(max(sample, bt.k + 1))[bt.k:]
-    if vals.size and float(np.max(np.abs(vals.imag))) > HERMITIAN_TOL:
-        return "diagonal entries not real", math.nan
-    points = accumulation_points(bt.tail.tail)
-    for p in points:
+    if not _hermitian(bt.block):
+        return "block not self-adjoint"
+    if float(np.max(np.abs(bt.tail_entries(SAMPLE).imag), initial=0.0)) > HERMITIAN_TOL:
+        return "diagonal entries not real"
+    for p in accumulation_points(bt.tail.tail):
         if abs(p.imag) > HERMITIAN_TOL:
-            return f"accumulation point {p} not real", math.nan
-    lows = [float(np.min(vals.real, initial=math.inf))] + [p.real for p in points]
-    if bt.k:
-        lows.append(float(np.min(np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)))))
-    return "", min(lows)
+            return f"accumulation point {p} not real"
+    return ""
+
+
+def _lowest_point(op: OperatorRep) -> float:
+    """Lowest sampled spectral point of a self-adjoint T: the eigenvalues of
+    its ``SAMPLE`` truncation and its declared accumulation points."""
+    points = [p.real for p in accumulation_points(block_tail(op).tail.tail)] if op.is_l2 else []
+    return min([float(np.min(_truncation_eigs(op, SAMPLE), initial=math.inf))] + points)
 
 
 def _positivity(op: OperatorRep) -> tuple[bool, str]:
     """Check self-adjointness plus nonnegative spectrum on the sample prefix."""
-    why, lo = _self_adjoint(op)
+    why = _not_self_adjoint(op)
     if why:
         return False, why
+    lo = _lowest_point(op)
     if lo < -HERMITIAN_TOL:
         return False, f"negative spectral point {lo}"
     return True, ""
@@ -307,11 +294,9 @@ def square_root(op: OperatorRep) -> OperatorRep:
     f = lambda a: np.sqrt(np.clip(a.real, 0.0, None))
     if not op.is_l2:
         return MatrixOp(_sqrt_psd(_dense(op)))
-    if isinstance(op, DiagonalOp):
-        return DiagonalOp(map_seq(op.seq, f, at_infinity="diverges"))
     bt = block_tail(op)
     tail = map_seq(bt.tail, f, at_infinity="diverges")
-    return block_tail_op(BlockTail(bt.k, _sqrt_psd(bt.block), tail))
+    return block_tail_op(BlockTail(bt.support, _sqrt_psd(bt.block), tail))
 
 
 def _modulus_dense(arr: np.ndarray) -> np.ndarray:
@@ -323,11 +308,9 @@ def modulus(op: OperatorRep) -> OperatorRep:
     """|T| = (T* T)^(1/2); block and tail transform independently."""
     if not op.is_l2:
         return MatrixOp(_modulus_dense(_dense(op)))
-    if isinstance(op, DiagonalOp):
-        return DiagonalOp(map_seq(op.seq, np.abs, at_infinity="diverges"))
     bt = block_tail(op)
     tail = map_seq(bt.tail, np.abs, at_infinity="diverges")
-    return block_tail_op(BlockTail(bt.k, _modulus_dense(bt.block), tail))
+    return block_tail_op(BlockTail(bt.support, _modulus_dense(bt.block), tail))
 
 
 def _phase_seq(seq: DiagSeq, sample: int = 4096) -> DiagSeq:
@@ -370,15 +353,11 @@ def polar(op: OperatorRep) -> PolarParts:
         cut = max(arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
         r = int(np.sum(s > cut))
         return PolarParts(MatrixOp(u[:, :r] @ vh[:r, :]), MatrixOp(_modulus_dense(arr)))
-    if isinstance(op, DiagonalOp):
-        return PolarParts(DiagonalOp(_phase_seq(op.seq)), modulus(op))
     bt = block_tail(op)
     u, s, vh = np.linalg.svd(bt.block)
     cut = max(1, bt.k) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
     r = int(np.sum(s > cut))
-    v_block = u[:, :r] @ vh[:r, :] if bt.k else bt.block
-    phase_tail = _phase_seq(bt.tail)
-    isometry = block_tail_op(BlockTail(bt.k, v_block, phase_tail))
+    isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
     return PolarParts(isometry, modulus(op))
 
 
@@ -388,23 +367,21 @@ def polar(op: OperatorRep) -> PolarParts:
 
 
 def _require_self_adjoint(op: OperatorRep):
-    why, _ = _self_adjoint(op)
+    why = _not_self_adjoint(op)
     if why:
         raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
 
 def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
-    """Eigenvalues of the n x n truncation, exact via the block split."""
+    """Eigenvalues of the n x n truncation, exact via the block split.
+
+    A block reaching past ``n`` contributes all its eigenvalues.
+    """
     if not op.is_l2:
         return np.linalg.eigvalsh(_dense(op))
     bt = block_tail(op)
-    n = max(n, bt.k)
-    parts = []
-    if bt.k:
-        parts.append(np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)))
-    if n > bt.k:
-        parts.append(bt.tail.values(n)[bt.k:].real)
-    return np.concatenate(parts) if parts else np.empty(0)
+    return np.concatenate([np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)),
+                           bt.tail_entries(n).real])
 
 
 def _cluster(values: np.ndarray, gap: float) -> list[tuple[float, int, float]]:

@@ -64,7 +64,7 @@ def test_criterion_1_bounded_below_rank_one_drop():
     t0 = time.perf_counter()
     failures = []
     op = named_diagonal("one_plus_inv_n")
-    for eps in (0.5, 0.1, 0.01):
+    for eps in (0.5, 0.1, 0.01, 1e-4):  # 1e-4 caps e_20001, past the default prefix
         res = attainment_perturbation_positive(op, eps)
         s = res.perturbation
         _expect(failures, isinstance(s, SumOp) and len(s.terms) == 1

@@ -257,22 +257,41 @@ def test_tail_consistency_accepts_slowly_shrinking_deviations(n):
             for name in ("one_plus_inv_n", "inv_n", "alternating01", "linear_n")]
     seqs.append(diagonal_seq(None, ConvergesTo(0.0), vec_fn=lambda a: 1.0 / np.sqrt(a)))
     seqs.append(diagonal_seq(None, ConvergesTo(0.0), vec_fn=lambda a: 1.0 / np.log(a + 1.0)))
+    seqs.append(diagonal_seq(None, DeclaredAccumulation((0.0, 1.0)),
+                             vec_fn=lambda a: (a % 2) + 1.0 / a))
+    seqs.append(diagonal_seq(None, DeclaredAccumulation((0.0,), diverges_to_infinity=True),
+                             vec_fn=lambda a: np.where(a % 2 == 1, a, 1.0 / a)))
     for seq in seqs:
         assert check_tail_consistency(seq, n=n)
 
 
 def test_tail_consistency_flags_wrong_limit_of_a_converging_sequence():
-    lying = diagonal_seq(None, ConvergesTo(0.5), vec_fn=lambda a: 1.0 + 1.0 / a)
+    near = lambda a: 1.0 + 1.0 / a
+    far = lambda a: 1e6 + 1.0 / a
+    parity = lambda a: (a % 2) + 1.0 / a
+    lies = [diagonal_seq(None, ConvergesTo(0.5), vec_fn=near),
+            diagonal_seq(None, DeclaredAccumulation((0.5,)), vec_fn=near),
+            # chordally 5e-13 from the truth, which is why finite points
+            # are measured in the Euclidean distance
+            diagonal_seq(None, ConvergesTo(1e6 + 0.5), vec_fn=far),
+            diagonal_seq(None, DeclaredAccumulation((1e6 + 0.5,)), vec_fn=far),
+            diagonal_seq(None, DeclaredAccumulation((0.0,)), vec_fn=parity),
+            diagonal_seq(None, DeclaredAccumulation((), diverges_to_infinity=True),
+                         vec_fn=parity),
+            diagonal_seq(None, DeclaredAccumulation((0.0,)),
+                         vec_fn=lambda a: np.where(a % 2 == 1, a, 1.0 / a))]
     for n in (2000, 10**4, 10**6):
-        assert not check_tail_consistency(lying, n=n)
+        for lying in lies:
+            assert not check_tail_consistency(lying, n=n)
 
 
 def test_tail_override_that_misfits_the_generator_rejected_at_load():
-    doc = {"variant": "diagonal", "generator": "one_plus_inv_n",
-           "tail": {"kind": "converges_to", "limit": 0.5}}
-    with pytest.raises(ValueError, match="does not fit"):
-        operator_from_json(doc)
-    doc["tail"]["limit"] = 1.0
+    for tail in ({"kind": "converges_to", "limit": 0.5},
+                 {"kind": "declared", "points": [0.5]}):
+        doc = {"variant": "diagonal", "generator": "one_plus_inv_n", "tail": tail}
+        with pytest.raises(ValueError, match="does not fit"):
+            operator_from_json(doc)
+    doc["tail"] = {"kind": "converges_to", "limit": 1.0}
     assert operator_from_json(doc).seq.tail == ConvergesTo(1.0)
 
 
@@ -412,15 +431,20 @@ def test_const_generator_parses_scalars():
 
 
 def test_block_tail_is_exact_for_sums():
-    op = SumOp(named_diagonal("inv_n"), 0.25,
-               (RankOneTerm(-0.125, Vec.basis(3), Vec.basis(3)),))
-    bt = block_tail(op)
-    assert bt.k == 3
+    cases = [
+        ((RankOneTerm(-0.125, Vec.basis(3), Vec.basis(3)),), [3]),
+        ((RankOneTerm(0.5, Vec(((2, 0.6), (7, 0.8j))), Vec.basis(3)),
+          RankOneTerm(-0.25, Vec.basis(3), Vec.basis(3))), [2, 3, 7]),
+    ]
     n = 8
-    expect = _dense_of(op, n)
-    got = np.diag(bt.tail.values(n)).astype(complex)
-    got[: bt.k, : bt.k] = bt.block
-    np.testing.assert_allclose(got, expect, atol=1e-14)
+    for terms, support in cases:
+        op = SumOp(named_diagonal("inv_n"), 0.25, terms)
+        bt = block_tail(op)
+        assert list(bt.support) == support
+        got = np.diag(bt.tail.values(n)).astype(complex)
+        at = np.array(bt.support) - 1
+        got[np.ix_(at, at)] = bt.block
+        np.testing.assert_allclose(got, _dense_of(op, n), atol=1e-14)
 
 
 def test_block_tail_round_trip_preserves_action():

@@ -261,6 +261,24 @@ def test_verification_reports_all_three_checks():
     assert v.gap_value <= 0.5 + 1e-10
 
 
+def test_construct_and_verify_run_no_dense_algebra_past_1x1(monkeypatch):
+    # a cap at e_j costs a 1 x 1 block wherever j sits, so shrinking eps
+    # must not grow any decomposition
+    shapes = []
+    for name in ("svd", "eigh", "eigvalsh", "solve", "qr"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+    drop = named_diagonal("one_plus_inv_n")
+    cases = [(attainment_perturbation, drop, eps) for eps in (1e-2, 1e-3, 1e-4)]
+    cases += [(attainment_perturbation, named_diagonal("inv_n"), 1e-3),
+              (bounded_below_perturbation, drop, 1e-3)]
+    for build, op, eps in cases:
+        assert verify_perturbation(op, build(op, eps)).passed
+    assert max(max(shape) for shape in shapes) == 1
+
+
 def test_verification_catches_doubled_coefficient():
     op = named_diagonal("one_plus_inv_n")
     res = attainment_perturbation_positive(op, 0.5)

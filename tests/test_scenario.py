@@ -204,6 +204,18 @@ def test_truncation_priority_experiment_over_cli_over_default():
     assert report.records[1].detail["diagonal"]["truncationN"] == 128
 
 
+def test_l2_graph_route_past_its_limit_is_a_failed_record():
+    # at the default truncation the two graph projections would need > 12 GB
+    doc = _config_doc()
+    doc["defaults"]["truncationN"] = 10_000
+    doc["experiments"] = [{"kind": "gap", "name": "graph", "left": "drop",
+                           "right": "vanish", "route": "graph"}]
+    rec = run_scenario(load_config(doc)).records[0]
+    assert not rec.passed
+    assert rec.detail["error"].startswith("ValueError")
+    assert "at most 1000" in rec.detail["error"]
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -235,10 +247,12 @@ def test_csv_report_quotes_names_with_commas():
 
 
 def test_misdeclared_tail_is_a_config_error():
-    doc = _config_doc()
-    doc["operators"]["drop"]["tail"] = {"kind": "converges_to", "limit": 0.5}
-    with pytest.raises(ConfigError, match="drop"):
-        load_config(doc)
+    for tail in ({"kind": "converges_to", "limit": 0.5},
+                 {"kind": "declared", "points": [0.5]}):
+        doc = _config_doc()
+        doc["operators"]["drop"]["tail"] = tail
+        with pytest.raises(ConfigError, match="drop"):
+            load_config(doc)
 
 
 def test_csv_report_shape():

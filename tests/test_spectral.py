@@ -248,6 +248,21 @@ def test_matrix_spectrum_reports_multiplicities():
     assert rep.discrete == ((1.0, 2), (3.0, 1))
 
 
+def test_spectrum_runs_one_eigvalsh(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: shapes.append(np.shape(a)) or real(a, *args, **kw))
+    a = np.random.default_rng(7).standard_normal((64, 64))
+    essential_spectrum(MatrixOp(a + a.T))
+    assert shapes == [(64, 64)]
+    shapes.clear()
+    v = Vec(tuple((i, 1 / math.sqrt(5)) for i in range(1, 6)))
+    essential_spectrum(SumOp(named_diagonal("one_plus_inv_n"), 0.0,
+                             (RankOneTerm(0.5, v, v),)), prefix=2000)
+    assert shapes == [(5, 5)]
+
+
 def test_spectrum_requires_self_adjointness():
     with pytest.raises(ValueError):
         essential_spectrum(MatrixOp(np.array([[0.0, 1.0], [0.0, 0.0]])))
