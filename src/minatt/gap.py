@@ -42,6 +42,7 @@ from .operators import (
     scale_shift,
     shared_root,
     tail_diverges,
+    truncate,
 )
 from .operators import (_chordal, _chordal_to_infinity, _chordal_window_dev, _common_support,
                         _dense)
@@ -125,6 +126,14 @@ def _defect_map(a: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.abs(a) ** 2)
 
 
+def _defect_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """check = (I + A*A)^(-1) and hat = (I + AA*)^(-1) of a dense matrix."""
+    m, n = a.shape
+    check = np.linalg.solve(np.eye(n) + a.conj().T @ a, np.eye(n))
+    hat = np.linalg.solve(np.eye(m) + a @ a.conj().T, np.eye(m))
+    return check, hat
+
+
 def defect_resolvent(op: OperatorRep) -> DefectPair:
     """Both defect resolvents of T, exact within the representable class.
 
@@ -133,16 +142,11 @@ def defect_resolvent(op: OperatorRep) -> DefectPair:
     unbounded operators.
     """
     if not op.is_l2:
-        arr = _dense(op)
-        m, n = arr.shape
-        check = np.linalg.solve(np.eye(n) + arr.conj().T @ arr, np.eye(n))
-        hat = np.linalg.solve(np.eye(m) + arr @ arr.conj().T, np.eye(m))
+        check, hat = _defect_dense(_dense(op))
         return DefectPair(MatrixOp(check), MatrixOp(hat))
     bt = block_tail(op)
     tail = map_seq(bt.tail, _defect_map, at_infinity=0.0)
-    eye = np.eye(bt.k)
-    check_block = np.linalg.solve(eye + bt.block.conj().T @ bt.block, eye)
-    hat_block = np.linalg.solve(eye + bt.block @ bt.block.conj().T, eye)
+    check_block, hat_block = _defect_dense(bt.block)
     return DefectPair(block_tail_op(BlockTail(bt.support, check_block, tail)),
                       block_tail_op(BlockTail(bt.support, hat_block, tail)))
 
@@ -223,7 +227,6 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
         if n > GRAPH_TRUNCATION_LIMIT:
             raise ValueError(f"graph route on l2 operators takes a truncation of at most "
                              f"{GRAPH_TRUNCATION_LIMIT}, got {n}")
-        from .operators import truncate
         da, db = truncate(a, n).array, truncate(b, n).array
         value = _projection_gap(_graph_projection(da), _graph_projection(db))
         return GapResult(value, "graph", n, math.nan)
@@ -240,11 +243,8 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
 
 
 def _closed_form_dense(s: np.ndarray, t: np.ndarray) -> float:
-    m, n = t.shape
-    t_hat = np.linalg.solve(np.eye(m) + t @ t.conj().T, np.eye(m))
-    s_hat = np.linalg.solve(np.eye(m) + s @ s.conj().T, np.eye(m))
-    t_check = np.linalg.solve(np.eye(n) + t.conj().T @ t, np.eye(n))
-    s_check = np.linalg.solve(np.eye(n) + s.conj().T @ s, np.eye(n))
+    t_check, t_hat = _defect_dense(t)
+    s_check, s_hat = _defect_dense(s)
     one = np.linalg.norm(_sqrt_psd(t_hat) @ (t - s) @ _sqrt_psd(s_check), 2)
     two = np.linalg.norm(_sqrt_psd(s_hat) @ (s - t) @ _sqrt_psd(t_check), 2)
     return float(max(one, two))

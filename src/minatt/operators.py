@@ -47,7 +47,6 @@ __all__ = [
     "constant_seq",
     "map_seq",
     "zip_seqs",
-    "same_seq",
     "check_tail_consistency",
     "RankOneTerm",
     "OperatorRep",
@@ -470,14 +469,6 @@ def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, at_infinity=None,
     return map_seq(root, lambda z: g(fa(z), fb(z)), at_infinity=at_infinity, tail=tail)
 
 
-def same_seq(a: DiagSeq, b: DiagSeq) -> bool:
-    if a is b:
-        return True
-    if a.const_value is not None and b.const_value is not None:
-        return a.const_value == b.const_value
-    return a.name is not None and a.name == b.name
-
-
 def check_tail_consistency(seq: DiagSeq, n: int = DEFAULT_PREFIX, tol: float = 1e-9) -> bool:
     """Heuristic guard against a grossly misdeclared tail.
 
@@ -821,7 +812,7 @@ def block_tail(op: OperatorRep) -> BlockTail:
     return BlockTail(support, block, tail)
 
 
-def block_tail_op(bt: BlockTail, *, drop_tol: float = RANK_TOL) -> OperatorRep:
+def block_tail_op(bt: BlockTail) -> OperatorRep:
     """Rebuild a representable operator from a block-plus-tail form."""
     if bt.k == 0:
         return DiagonalOp(bt.tail)
@@ -830,7 +821,7 @@ def block_tail_op(bt: BlockTail, *, drop_tol: float = RANK_TOL) -> OperatorRep:
     scale = max(1.0, float(np.max(np.abs(diff))))
     u, s, vh = np.linalg.svd(diff)
     for i, sv in enumerate(s):
-        if sv <= drop_tol * scale:
+        if sv <= RANK_TOL * scale:
             continue
         terms.append(RankOneTerm(sv, bt.embed(vh[i].conj()), bt.embed(u[:, i])))
     return SumOp(DiagonalOp(bt.tail), 0j, tuple(terms)) if terms else DiagonalOp(bt.tail)

@@ -23,11 +23,13 @@ from .operators import (
     DEFAULT_PREFIX,
     BlockTail,
     DiagSeq,
+    FiniteRange,
     MatrixOp,
     NotRepresentableError,
     OperatorRep,
     Vec,
     accumulation_points,
+    add_rank_one,
     block_tail,
     block_tail_op,
     map_seq,
@@ -56,6 +58,8 @@ HERMITIAN_TOL = 1e-10
 EIGEN_TOL = 1e-8
 ISOLATION_GAP = 1e-6
 MULTIPLICITY_TOL = 1e-9
+# weyl_check: a declared point counts as recovered within this distance
+MATCH_TOL = 1e-3
 
 # Self-adjointness and positivity look at this many diagonal entries.
 SAMPLE = 4096
@@ -105,8 +109,8 @@ class PolarParts:
 class SpectrumReport:
     """Essential spectrum (declared) plus resolved discrete eigenvalues.
 
-    Discrete entries are (value, multiplicity) pairs.  Eigenvalues closer
-    than ``isolation_gap`` to the essential set, or to each other, are left
+    Discrete entries are (value, multiplicity) pairs.  Eigenvalues within
+    ``ISOLATION_GAP`` of the essential set or of each other are left
     unresolved rather than reported with made-up multiplicities.
     """
 
@@ -163,7 +167,8 @@ def _tail_abs_inf(bt: BlockTail) -> float:
 def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> AttainmentCertificate:
     """m(T) with an attainment certificate.
 
-    For matrices this is the smallest singular value and is always attained.
+    For matrices this is the smallest singular value and is always attained;
+    a wide matrix has a kernel, so its minimum is 0 at a kernel vector.
     For l2 operators the minimum over the block and the scanned prefix is
     compared against the declared tail infimum: attainment holds exactly
     when the prefix reaches at least as low as the tail ever will.
@@ -171,8 +176,8 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
     """
     if not op.is_l2:
         arr = _dense(op)
-        u, s, vh = np.linalg.svd(arr)
-        value = float(s[-1]) if s.size else 0.0
+        _, s, vh = np.linalg.svd(arr)
+        value = float(s[-1]) if s.size == arr.shape[1] else 0.0
         witness = Vec.from_dense(vh[-1].conj(), dim=arr.shape[1])
         residual = abs(float(np.linalg.norm(arr @ vh[-1].conj())) - value)
         return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
@@ -205,8 +210,7 @@ def _basis_index(v: Vec) -> int | None:
     return None
 
 
-def is_minimum_attaining(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX,
-                         crosscheck: bool = True) -> AttainmentCertificate:
+def is_minimum_attaining(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> AttainmentCertificate:
     """Attainment decision; positive operators get an eigenvalue cross-check.
 
     When T is positive and the minimum is attained, m(T) must equal the
@@ -215,7 +219,7 @@ def is_minimum_attaining(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX,
     and raises ArithmeticError.
     """
     cert = minimum_modulus(op, prefix=prefix)
-    if crosscheck and cert.attained:
+    if cert.attained:
         ok, _ = _positivity(op)
         if ok:
             size = 64
@@ -299,21 +303,24 @@ def square_root(op: OperatorRep) -> OperatorRep:
     return block_tail_op(BlockTail(bt.support, _sqrt_psd(bt.block), tail))
 
 
-def _modulus_dense(arr: np.ndarray) -> np.ndarray:
-    _, s, vh = np.linalg.svd(arr)
-    return (vh.conj().T * s) @ vh
+def _modulus_from_svd(bt: BlockTail | None, s: np.ndarray, vh: np.ndarray) -> OperatorRep:
+    """|T| from the SVD of T's matrix (``bt`` None) or of its block."""
+    vh = vh[:s.size]  # a wide matrix has more right singular vectors than values
+    root = (vh.conj().T * s) @ vh
+    if bt is None:
+        return MatrixOp(root)
+    tail = map_seq(bt.tail, np.abs, at_infinity="diverges")
+    return block_tail_op(BlockTail(bt.support, root, tail))
 
 
 def modulus(op: OperatorRep) -> OperatorRep:
     """|T| = (T* T)^(1/2); block and tail transform independently."""
-    if not op.is_l2:
-        return MatrixOp(_modulus_dense(_dense(op)))
-    bt = block_tail(op)
-    tail = map_seq(bt.tail, np.abs, at_infinity="diverges")
-    return block_tail_op(BlockTail(bt.support, _modulus_dense(bt.block), tail))
+    bt = block_tail(op) if op.is_l2 else None
+    _, s, vh = np.linalg.svd(_dense(op) if bt is None else bt.block)
+    return _modulus_from_svd(bt, s, vh)
 
 
-def _phase_seq(seq: DiagSeq, sample: int = 4096) -> DiagSeq:
+def _phase_seq(seq: DiagSeq) -> DiagSeq:
     """Entrywise phase z/|z| (0 at 0) with a representable tail.
 
     When the declared tail avoids 0 and infinity the phase map is pushed
@@ -325,15 +332,14 @@ def _phase_seq(seq: DiagSeq, sample: int = 4096) -> DiagSeq:
     singular = tail_diverges(tail) or any(abs(p) < NULL_TOL for p in accumulation_points(tail))
     if not singular:
         return map_seq(seq, _phase_vec)
-    window = seq.values(sample)[sample // 2:]
+    window = seq.values(SAMPLE)[SAMPLE // 2:]
     phases = _phase_vec(window)
     reps: list[complex] = []
     for z in phases:
         if not any(abs(z - r) <= 1e-9 for r in reps):
             reps.append(complex(z))
-    if len(reps) > 12:
-        raise NotRepresentableError("phase tail has too many clusters to declare")
-    from .operators import FiniteRange
+            if len(reps) > 12:
+                raise NotRepresentableError("phase tail has too many clusters to declare")
     return map_seq(seq, _phase_vec, tail=FiniteRange(tuple(reps)))
 
 
@@ -347,18 +353,16 @@ def _phase_vec(a: np.ndarray) -> np.ndarray:
 
 def polar(op: OperatorRep) -> PolarParts:
     """Polar decomposition T = V |T| with V a partial isometry."""
-    if not op.is_l2:
-        arr = _dense(op)
-        u, s, vh = np.linalg.svd(arr)
-        cut = max(arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
-        r = int(np.sum(s > cut))
-        return PolarParts(MatrixOp(u[:, :r] @ vh[:r, :]), MatrixOp(_modulus_dense(arr)))
-    bt = block_tail(op)
-    u, s, vh = np.linalg.svd(bt.block)
-    cut = max(1, bt.k) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
+    bt = block_tail(op) if op.is_l2 else None
+    arr = _dense(op) if bt is None else bt.block
+    u, s, vh = np.linalg.svd(arr)
+    cut = max(1, *arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
     r = int(np.sum(s > cut))
-    isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
-    return PolarParts(isometry, modulus(op))
+    if bt is None:
+        isometry = MatrixOp(u[:, :r] @ vh[:r, :])
+    else:
+        isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
+    return PolarParts(isometry, _modulus_from_svd(bt, s, vh))
 
 
 # ---------------------------------------------------------------------------
@@ -384,111 +388,109 @@ def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
                            bt.tail_entries(n).real])
 
 
-def _cluster(values: np.ndarray, gap: float) -> list[tuple[float, int, float]]:
-    """Group sorted reals into runs with neighbour gap <= ``gap``.
-
-    Returns (mean, count, width) per run.
-    """
-    if values.size == 0:
-        return []
-    v = np.sort(values)
-    out = []
-    start = 0
-    for i in range(1, v.size + 1):
-        if i == v.size or v[i] - v[i - 1] > gap:
-            chunk = v[start:i]
-            out.append((float(np.mean(chunk)), int(chunk.size),
-                        float(chunk[-1] - chunk[0])))
-            start = i
-    return out
+def _sorted_eigs(op: OperatorRep, n: int) -> np.ndarray:
+    eigs = _truncation_eigs(op, n)
+    eigs.sort()
+    return eigs
 
 
-def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX,
-                       isolation_gap: float = ISOLATION_GAP) -> SpectrumReport:
+def _runs(v: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end positions of the runs of sorted ``v`` whose neighbour gaps are <= ``gap``."""
+    if v.size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    cuts = np.flatnonzero(np.diff(v) > gap) + 1
+    return np.concatenate(([0], cuts)), np.concatenate((cuts, [v.size]))
+
+
+def _cluster(v: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean, count and width of each run of sorted ``v`` with neighbour gap <= ``gap``."""
+    starts, ends = _runs(v, gap)
+    counts = ends - starts
+    means = v[starts] + 0.0  # np.mean of one value: -0.0 becomes 0.0
+    for i in np.flatnonzero(counts > 1):
+        means[i] = np.mean(v[starts[i]:ends[i]])
+    return means, counts, v[ends - 1] - v[starts]
+
+
+def _spectrum_report(op: OperatorRep, eigs: np.ndarray, prefix: int) -> SpectrumReport:
+    if not op.is_l2:
+        scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
+        means, counts, _ = _cluster(eigs, MULTIPLICITY_TOL * scale)
+        return SpectrumReport((), False, tuple(zip(means.tolist(), counts.tolist())), eigs.size)
+
+    tail = block_tail(op).tail.tail
+    essential = tuple(sorted(p.real for p in accumulation_points(tail)))
+    means, counts, widths = _cluster(eigs, MULTIPLICITY_TOL)
+    keep = ~(widths > MULTIPLICITY_TOL * np.fmax(1.0, np.abs(means)))
+    for e in essential:
+        keep &= ~(np.abs(means - e) <= ISOLATION_GAP)
+    crowded = np.diff(means) <= ISOLATION_GAP
+    keep[1:] &= ~crowded
+    keep[:-1] &= ~crowded
+    discrete = tuple(zip(means[keep].tolist(), counts[keep].tolist()))
+    return SpectrumReport(essential, tail_diverges(tail), discrete, prefix)
+
+
+def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> SpectrumReport:
     """Spectral report for a self-adjoint representable operator.
 
     The essential part is read off the declared accumulation set (empty for
     matrices).  Discrete eigenvalues come from truncation eigenvalues:
-    exact multiplicity clusters (gap <= MULTIPLICITY_TOL) that stay at least
-    ``isolation_gap`` away from the essential set and from every other
-    cluster.  Anything closer is deliberately left unresolved.
+    exact multiplicity clusters (gap <= MULTIPLICITY_TOL) that stay more
+    than ``ISOLATION_GAP`` away from the essential set and from every other
+    cluster.  Anything closer is deliberately left unresolved.  The cost is
+    one sort of the prefix eigenvalues and a few array passes over them.
     """
     _require_self_adjoint(op)
-    if not op.is_l2:
-        eigs = np.linalg.eigvalsh(_dense(op))
-        scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
-        discrete = tuple((v, m) for v, m, _ in
-                         _cluster(eigs, MULTIPLICITY_TOL * scale))
-        return SpectrumReport((), False, discrete, eigs.size)
-
-    bt = block_tail(op)
-    tail = bt.tail.tail
-    essential = tuple(sorted(p.real for p in accumulation_points(tail)))
-    candidates = _truncation_eigs(op, prefix)
-    clusters = _cluster(candidates, MULTIPLICITY_TOL)
-    centers = [c for c, _, _ in clusters]
-    discrete = []
-    for i, (center, count, width) in enumerate(clusters):
-        if width > MULTIPLICITY_TOL * max(1.0, abs(center)):
-            continue
-        if any(abs(center - e) <= isolation_gap for e in essential):
-            continue
-        near_left = i > 0 and center - centers[i - 1] <= isolation_gap
-        near_right = i + 1 < len(centers) and centers[i + 1] - center <= isolation_gap
-        if near_left or near_right:
-            continue
-        discrete.append((center, count))
-    return SpectrumReport(essential, tail_diverges(tail), tuple(discrete), prefix)
+    return _spectrum_report(op, _sorted_eigs(op, prefix), prefix)
 
 
-def _detect_accumulation(values: np.ndarray, window: float = DETECT_WINDOW,
-                         min_count: int = MIN_CLUSTER) -> tuple[float, ...]:
-    """Accumulation candidates from raw eigenvalues, no declarations used.
+def _detect_accumulation(v: np.ndarray) -> tuple[float, ...]:
+    """Accumulation candidates from sorted raw eigenvalues, no declarations used.
 
-    A value is flagged when >= min_count eigenvalues fall within +-window;
-    each flagged run contributes its densest value.
+    A value is flagged when >= MIN_CLUSTER eigenvalues fall within
+    +-DETECT_WINDOW; each run of flagged values contributes its densest
+    value, the lowest one on a tie.
     """
-    if values.size == 0:
+    counts = np.searchsorted(v, v + DETECT_WINDOW, side="right")
+    counts -= np.searchsorted(v, v - DETECT_WINDOW, side="left")
+    flagged = np.flatnonzero(counts >= MIN_CLUSTER)
+    starts, ends = _runs(v[flagged], DETECT_WINDOW)
+    if starts.size == 0:
         return ()
-    v = np.sort(np.asarray(values, dtype=float))
-    counts = np.searchsorted(v, v + window, side="right") - \
-        np.searchsorted(v, v - window, side="left")
-    flagged = np.nonzero(counts >= min_count)[0]
-    if flagged.size == 0:
-        return ()
-    out = []
-    start = 0
-    for j in range(1, flagged.size + 1):
-        if j == flagged.size or v[flagged[j]] - v[flagged[j - 1]] > window:
-            run = flagged[start:j]
-            best = run[np.argmax(counts[run])]
-            out.append(float(v[best]))
-            start = j
-    return tuple(out)
+    counts = counts[flagged]
+    peak = np.repeat(np.maximum.reduceat(counts, starts), ends - starts)
+    hits = np.flatnonzero(counts == peak)
+    # every run holds a hit, so the first hit at or after its start is its own
+    return tuple(v[flagged[hits[np.searchsorted(hits, starts)]]].tolist())
 
 
-def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX,
-               match_tol: float = 1e-3) -> WeylReport:
+def _report_and_detected(op: OperatorRep, prefix: int) -> tuple[SpectrumReport, tuple[float, ...]]:
+    # one sorted eigenvalue array serves both; it is dropped on return
+    _require_self_adjoint(op)
+    eigs = _sorted_eigs(op, prefix)
+    return _spectrum_report(op, eigs, prefix), _detect_accumulation(eigs)
+
+
+def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX) -> WeylReport:
     """Essential spectrum is unmoved by a finite-rank self-adjoint bump.
 
     Besides comparing the declared essential sets before and after, the
     report re-detects accumulation points from raw truncation eigenvalues
     on both sides and checks the declared points are recovered to within
-    ``match_tol`` (vacuous when the essential set is empty).
+    ``MATCH_TOL`` (vacuous when the essential set is empty).  Each side
+    evaluates its prefix once, one side after the other.
     """
-    from .operators import add_rank_one
     perturbed = op
     for t in terms:
         perturbed = add_rank_one(perturbed, t)
-    before = essential_spectrum(op, prefix=prefix)
-    after = essential_spectrum(perturbed, prefix=prefix)
+    before, det_before = _report_and_detected(op, prefix)
+    after, det_after = _report_and_detected(perturbed, prefix)
     agree = (len(before.essential) == len(after.essential)
              and all(abs(a - b) <= 1e-9 for a, b in zip(before.essential, after.essential))
              and before.essential_unbounded == after.essential_unbounded)
-    det_before = _detect_accumulation(_truncation_eigs(op, prefix))
-    det_after = _detect_accumulation(_truncation_eigs(perturbed, prefix))
     def covered(declared, detected):
-        return all(any(abs(d - p) <= match_tol for d in detected) for p in declared)
+        return all(any(abs(d - p) <= MATCH_TOL for d in detected) for p in declared)
     detected_match = covered(before.essential, det_before) and \
         covered(after.essential, det_after)
     return WeylReport(before.essential, after.essential,

@@ -1,0 +1,28 @@
+"""The demos and the example scenario run to completion.
+
+Each runs in a fresh interpreter, the way a user starts it.
+`demos/gap_routes.py` is left out: its graph route at truncation 1000
+takes about 16 s.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("args", [
+    ["demos/make_attaining.py"],
+    ["demos/spectra_and_bumps.py"],
+    ["-m", "minatt.cli", "run", "demos/scenario.json"],
+], ids=["make_attaining", "spectra_and_bumps", "scenario"])
+def test_demo_runs(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

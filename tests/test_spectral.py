@@ -4,17 +4,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from minatt.operators import (
+    DiagSeq,
     DiagonalOp,
     MatrixOp,
     RankOneTerm,
     SumOp,
     Vec,
+    block_tail,
     named_diagonal,
     scale_shift,
 )
 from minatt.spectral import (
+    DETECT_WINDOW,
+    MIN_CLUSTER,
+    MULTIPLICITY_TOL,
+    _cluster,
+    _detect_accumulation,
     essential_spectrum,
     is_minimum_attaining,
     minimum_modulus,
@@ -49,6 +58,16 @@ def test_matrix_minimum_witness_actually_achieves_it():
     cert = minimum_modulus(MatrixOp(arr))
     w = cert.witness.dense(4)
     assert abs(np.linalg.norm(arr @ w) - cert.value) < 1e-10
+
+
+def test_wide_matrix_minimum_is_zero_at_a_kernel_vector():
+    arr = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]])
+    cert = minimum_modulus(MatrixOp(arr))
+    assert cert.value == 0.0 and cert.attained
+    w = cert.witness.dense(3)
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    assert np.linalg.norm(arr @ w) < 1e-12
+    assert cert.residual < 1e-12
 
 
 def test_strictly_decreasing_diagonal_never_attains():
@@ -177,6 +196,33 @@ def test_polar_reconstructs_matrices():
         np.testing.assert_allclose(vv, vv.conj().T, atol=1e-10)
 
 
+def test_polar_of_wide_matrix():
+    arr = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0]])
+    parts = polar(MatrixOp(arr))
+    v, m = parts.isometry.array, parts.modulus.array
+    assert v.shape == (2, 3) and m.shape == (3, 3)
+    np.testing.assert_allclose(v @ m, arr, atol=1e-12)
+    np.testing.assert_allclose(m @ m, arr.T @ arr, atol=1e-12)
+    np.testing.assert_allclose(modulus(MatrixOp(arr)).array, m, atol=0)
+
+
+def test_polar_takes_one_svd_of_the_operator(monkeypatch):
+    seen = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, *args, **kw: seen.append(np.array(a)) or real(a, *args, **kw))
+    arr = np.random.default_rng(19).standard_normal((4, 4))
+    polar(MatrixOp(arr))
+    assert len(seen) == 1 and np.array_equal(seen[0], arr)
+    seen.clear()
+    op = SumOp(named_diagonal("one_plus_inv_n"), 0.0,
+               (RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5)),))
+    block = block_tail(op).block
+    polar(op)
+    # the other calls rebuild the rank-one terms of the two returned parts
+    assert sum(a.shape == block.shape and np.array_equal(a, block) for a in seen) == 1
+
+
 def test_polar_of_negated_diagonal_uses_unimodular_phase():
     op = scale_shift(named_diagonal("one_plus_inv_n"), -1.0, 0.0)
     parts = polar(op)
@@ -292,3 +338,71 @@ def test_weyl_handles_offdiagonal_hermitian_pairs():
     assert rep.agree
     assert rep.essential_after == (0.0, 1.0)
     assert rep.detected_match
+
+
+def test_weyl_check_evaluates_each_prefix_once(monkeypatch):
+    n = 5000
+    lengths = []
+    real = DiagSeq.values_at
+    monkeypatch.setattr(DiagSeq, "values_at",
+                        lambda self, ix: lengths.append(len(ix)) or real(self, ix))
+    weyl_check(named_diagonal("one_plus_inv_n"), [RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5))],
+               prefix=n)
+    assert lengths.count(n) == 2
+
+
+# Plain-loop references for the run grouping in spectral.py.
+
+
+def _cluster_reference(values, gap):
+    v = np.sort(values)
+    out = []
+    start = 0
+    for i in range(1, v.size + 1):
+        if i == v.size or v[i] - v[i - 1] > gap:
+            chunk = v[start:i]
+            out.append((float(np.mean(chunk)), int(chunk.size), float(chunk[-1] - chunk[0])))
+            start = i
+    return out
+
+
+def _detect_reference(values):
+    v = np.sort(values)
+    if v.size == 0:
+        return ()
+    counts = np.searchsorted(v, v + DETECT_WINDOW, side="right") - \
+        np.searchsorted(v, v - DETECT_WINDOW, side="left")
+    flagged = np.nonzero(counts >= MIN_CLUSTER)[0]
+    out = []
+    start = 0
+    for j in range(1, flagged.size + 1):
+        if j == flagged.size or v[flagged[j]] - v[flagged[j - 1]] > DETECT_WINDOW:
+            run = flagged[start:j]
+            out.append(float(v[run[np.argmax(counts[run])]]))
+            start = j
+    return tuple(out)
+
+
+# neighbours 0, w, 2w and 1, 1 + w sit exactly one threshold apart
+_W = DETECT_WINDOW
+_GRID = [0.0, -0.0, _W, 2 * _W, _W / 2, -_W, 1.0, 1.0 + _W, 1.0 + MULTIPLICITY_TOL, 0.25, 0.5, 3.0]
+# each drawn value repeats up to 40 times, so long runs and flagged clusters occur
+_values = st.lists(st.tuples(st.one_of(st.sampled_from(_GRID), st.floats(-2.0, 2.0)),
+                             st.integers(1, 40)), max_size=12).map(
+    lambda pairs: [x for x, times in pairs for _ in range(times)])
+
+
+@given(_values, st.sampled_from([0.0, _W, MULTIPLICITY_TOL, 0.25, 1.0]))
+@example([0.0] * 12 + [0.25] * 9 + [0.5], 0.25)
+def test_cluster_matches_plain_loop(values, gap):
+    v = np.array(values, dtype=float)
+    means, counts, widths = _cluster(np.sort(v), gap)
+    got = list(zip(means.tolist(), counts.tolist(), widths.tolist()))
+    assert repr(got) == repr(_cluster_reference(v, gap))
+
+
+@given(_values)
+@example([0.0] * 30 + [_W] * 30 + [2 * _W] * 10 + [1.0] * 26)
+def test_detect_accumulation_matches_plain_loop(values):
+    v = np.array(values, dtype=float)
+    assert repr(_detect_accumulation(np.sort(v))) == repr(_detect_reference(v))
