@@ -266,12 +266,9 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
         return GapResult(_closed_form_dense(ds, dt), "closed_form", None, 0.0)
     if not (s.is_l2 and t.is_l2):
         raise ValueError("closed form needs operators on a common space")
-    bs, bt, window = _aligned_profiles(s, t, prefix)
-    sv, tv = bs.tail_entries(prefix), bt.tail_entries(prefix)
+    bs, bt = _aligned_profiles(s, t)
     dense_part = _closed_form_dense(np.diag(np.diag(bs.block)), np.diag(np.diag(bt.block)))
-    g = _chordal(sv, tv)
-    prefix_part = max(dense_part, float(np.max(g, initial=0.0)))
-    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, bs.tail, bt.tail, window)
+    value, tail_bound = _certify_tail(dense_part, bs, bt, prefix)
     return GapResult(value, "closed_form", prefix, tail_bound)
 
 
@@ -280,13 +277,10 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
 # ---------------------------------------------------------------------------
 
 
-def _aligned_profiles(s: OperatorRep, t: OperatorRep,
-                      prefix: int) -> tuple[BlockTail, BlockTail, int]:
+def _aligned_profiles(s: OperatorRep, t: OperatorRep) -> tuple[BlockTail, BlockTail]:
     """Both operators split over the union of their supports; rejects non-diagonal blocks.
 
-    Their block entries and their tail entries then pair up.  The third
-    value is the position in the tail entries where the certification
-    window, the indices past prefix / 2, begins.
+    Their block entries and their tail entries then pair up.
     """
     if not (s.is_l2 and t.is_l2):
         raise ValueError("diagonal route needs l2 operators")
@@ -296,7 +290,7 @@ def _aligned_profiles(s: OperatorRep, t: OperatorRep,
         off = bt.block - np.diag(np.diag(bt.block))
         if float(np.max(np.abs(off), initial=0.0)) > 1e-12 * scale:
             raise ValueError("diagonal route needs diagonally aligned operators")
-    return pair + (pair[0].tail_position(prefix // 2 + 1),)
+    return pair
 
 
 def _ext_points(seq: DiagSeq) -> list[complex | None]:
@@ -348,20 +342,31 @@ def _pairs_match_declared(pairs, s_seq: DiagSeq, t_seq: DiagSeq) -> bool:
                any(abs(b - p) <= 1e-9 for p in acc_t) for a, b in pairs)
 
 
-def _certify_tail(prefix_part: float, g: np.ndarray, sv: np.ndarray, tv: np.ndarray,
-                  s_seq: DiagSeq, t_seq: DiagSeq, window: int) -> tuple[float, float]:
-    # g pairs the tail entries only: block entries are not tail transforms
-    # and would poison the overshoot estimate
-    pairs, exact = _tail_pairs(s_seq, t_seq)
+def _certify_tail(block_part: float, bs: BlockTail, bt: BlockTail,
+                  prefix: int) -> tuple[float, float]:
+    """Gap value and tail bound from the blocks' part and one streamed scan of the tail pairs."""
+    # only tail entries are paired: block entries are not tail transforms
+    # and would poison the overshoot estimate; the window is past prefix / 2
+    pairs, exact = _tail_pairs(bs.tail, bt.tail)
+    head, window, s_dev, t_dev = -math.inf, -math.inf, 0.0, 0.0
+    half = prefix // 2
+    for (_, sv), (_, tv) in zip(bs.tail_blocks(half), bt.tail_blocks(half)):
+        head = np.maximum(head, np.max(_chordal(sv, tv)))
+    tail_window = zip(bs.tail_blocks(prefix, half + 1), bt.tail_blocks(prefix, half + 1))
+    for (_, sv), (_, tv) in tail_window:
+        window = np.maximum(window, np.max(_chordal(sv, tv)))
+        if not exact:
+            s_dev = np.maximum(s_dev, _chordal_window_dev(sv, bs.tail.tail))
+            t_dev = np.maximum(t_dev, _chordal_window_dev(tv, bt.tail.tail))
+    prefix_part = max(block_part, float(np.maximum(0.0, np.maximum(head, window))))
     pair_max = max((_g_ext(a, b) for a, b in pairs), default=0.0)
     value = max(prefix_part, pair_max)
     if exact:
         # pair values are genuine limits, so value is a lower bound on the
         # true gap; the only upward play is the window's excess over them
-        overshoot = max(0.0, float(np.max(g[window:], initial=-math.inf)) - pair_max)
+        overshoot = max(0.0, float(window) - pair_max)
         return value, overshoot + FLOAT_SLACK
-    dev = _chordal_window_dev(sv[window:], s_seq.tail) + \
-        _chordal_window_dev(tv[window:], t_seq.tail)
+    dev = float(s_dev) + float(t_dev)
     return value, (value - prefix_part) + dev + FLOAT_SLACK
 
 
@@ -376,12 +381,9 @@ def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
     window).  Unbounded entries cost nothing: the chordal distance of a
     divergent pair tends to zero.
     """
-    bs, bt, window = _aligned_profiles(s, t, prefix)
-    sv, tv = bs.tail_entries(prefix), bt.tail_entries(prefix)
-    g = _chordal(sv, tv)
-    prefix_part = max(float(np.max(_chordal(np.diag(bs.block), np.diag(bt.block)), initial=0.0)),
-                      float(np.max(g, initial=0.0)))
-    value, tail_bound = _certify_tail(prefix_part, g, sv, tv, bs.tail, bt.tail, window)
+    bs, bt = _aligned_profiles(s, t)
+    block_part = float(np.max(_chordal(np.diag(bs.block), np.diag(bt.block)), initial=0.0))
+    value, tail_bound = _certify_tail(block_part, bs, bt, prefix)
     return GapResult(value, "diagonal", prefix, tail_bound)
 
 

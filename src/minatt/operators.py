@@ -446,13 +446,14 @@ def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, at_infinity=None,
     would presume continuity at the root's limit, which derived sequences
     such as entrywise phases are allowed to break.
     """
+    # a constant operand is broadcast, not written out once per block
     if a.const_value is not None:
         ca = a.const_value
-        return map_seq(b, lambda z: g(np.full(z.shape, ca), z),
+        return map_seq(b, lambda z: g(np.broadcast_to(ca, z.shape), z),
                        at_infinity=at_infinity, tail=tail)
     if b.const_value is not None:
         cb = b.const_value
-        return map_seq(a, lambda z: g(z, np.full(z.shape, cb)),
+        return map_seq(a, lambda z: g(z, np.broadcast_to(cb, z.shape)),
                        at_infinity=at_infinity, tail=tail)
     root = shared_root(a, b)
     if root is None:
@@ -754,22 +755,21 @@ class BlockTail:
         """Dimension of the block."""
         return len(self.support)
 
-    def tail_entries(self, prefix: int) -> np.ndarray:
-        """Tail entries at the indices 1..prefix off the support, in index order."""
-        vals = self.tail.values(prefix)
-        inside = [i - 1 for i in self.support if i <= prefix]
-        return np.delete(vals, inside) if inside else vals
+    def tail_blocks(self, stop: int, start: int = 1):
+        """``(indices, entries)`` of the tail at start..stop off the support, in blocks.
 
-    def tail_index(self, position: int) -> int:
-        """The 1-based index of ``tail_entries(...)[position]``."""
-        index = position + 1
-        for i in self.support:
-            index += i <= index
-        return index
-
-    def tail_position(self, index: int) -> int:
-        """Position in ``tail_entries`` of the first entry at ``index`` or later."""
-        return index - 1 - int(np.searchsorted(self.support, index))
+        A block holds at most ``_MAP_BLOCK`` indices, so a scan of a long
+        prefix holds one block at a time; forms on one support pair up.
+        """
+        support = np.array(self.support, dtype=np.int64)
+        for lo in range(start, stop + 1, _MAP_BLOCK):
+            hi = min(lo + _MAP_BLOCK, stop + 1)
+            indices = np.arange(lo, hi)
+            inside = support[(support >= lo) & (support < hi)]
+            if inside.size:
+                indices = np.delete(indices, inside - lo)
+            if indices.size:
+                yield indices, self.tail.values_at(indices)
 
     def embed(self, v: np.ndarray) -> Vec:
         """The l2 vector whose support coordinates are the block vector ``v``."""
@@ -996,11 +996,16 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     tail = bt.tail.tail
     if tail_diverges(tail):
         raise UnboundedOperatorError("diagonal entries diverge; operator is unbounded")
-    vals = bt.tail_entries(prefix)
+    # the deviation is taken over the window past prefix / 2
+    top, dev = 0.0, 0.0
+    for _, vals in bt.tail_blocks(prefix // 2):
+        top = np.maximum(top, np.max(np.abs(vals)))
+    for _, vals in bt.tail_blocks(prefix, prefix // 2 + 1):
+        top = np.maximum(top, np.max(np.abs(vals)))
+        dev = np.maximum(dev, _euclid_window_dev(vals, tail))
     acc_sup = max((abs(p) for p in accumulation_points(tail)), default=0.0)
-    value = max(_spectral_norm(bt.block), float(np.max(np.abs(vals), initial=0.0)), acc_sup)
-    dev = _euclid_window_dev(vals[bt.tail_position(prefix // 2 + 1):], tail)
-    slack = max(0.0, acc_sup + dev - value)
+    value = max(_spectral_norm(bt.block), float(top), acc_sup)
+    slack = max(0.0, acc_sup + float(dev) - value)
     return NormBound(value, slack)
 
 

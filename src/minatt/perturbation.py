@@ -72,6 +72,8 @@ __all__ = [
 
 STRICT_MARGIN = 1e-12
 CHECK_TOL = 1e-10
+# near_minimizer scans the diagonal lazily up to this index
+SCAN_LIMIT = 10 ** 7
 
 
 class PerturbationCase(str, Enum):
@@ -151,7 +153,7 @@ class PerturbationVerification:
 
 
 def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PREFIX,
-                   scan_limit: int = 10 ** 7) -> Vec:
+                   scan_limit: int = SCAN_LIMIT) -> Vec:
     """A unit x with <Tx, x> < m(T) + epsilon/2, strictly (margin 1e-12).
 
     Positive operators only.  Matrices take the minimal eigenvector; l2
@@ -162,7 +164,12 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _require_positive(op, "near_minimizer")
-    cert = minimum_modulus(op, prefix=prefix)
+    return _near_minimizer(op, epsilon, minimum_modulus(op, prefix=prefix), prefix, scan_limit)
+
+
+def _near_minimizer(op: OperatorRep, epsilon: float, cert: AttainmentCertificate,
+                    prefix: int, scan_limit: int) -> Vec:
+    """:func:`near_minimizer` of a positive T whose m(T) certificate is ``cert``."""
     threshold = cert.value + epsilon / 2.0
 
     if not op.is_l2:
@@ -177,18 +184,20 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
         w, u = np.linalg.eigh(0.5 * (bt.block + bt.block.conj().T))
         if w[0] < threshold - STRICT_MARGIN:
             return bt.embed(u[:, 0])
-    n = prefix
+    # 1..prefix first, then each doubling window (n, 2n]: no entry is read twice
+    start, n = 1, prefix
     while True:
-        hits = np.nonzero(bt.tail_entries(n).real < threshold - STRICT_MARGIN)[0]
-        if hits.size:
-            return Vec.basis(bt.tail_index(int(hits[0])))
+        for indices, vals in bt.tail_blocks(n, start):
+            hits = np.flatnonzero(vals.real < threshold - STRICT_MARGIN)
+            if hits.size:
+                return Vec.basis(int(indices[hits[0]]))
         if n >= scan_limit:
             # an index exists whenever the infimum is approached through the
             # tail, but the scan budget ran out before reaching it
             raise InconclusiveError(
                 f"no entry below m + eps/2 within the first {scan_limit} indices",
                 lower=cert.value, upper=threshold)
-        n = min(scan_limit, 2 * n)
+        start, n = n + 1, min(scan_limit, 2 * n)
 
 
 def rank_one_cap(epsilon: float, x: Vec) -> RankOneTerm:
@@ -212,7 +221,7 @@ def _shift_op(op: OperatorRep, beta: float, term: RankOneTerm) -> OperatorRep:
 
 
 def _positive_construction(op: OperatorRep, epsilon: float, prefix: int):
-    """Shared positive-case logic; returns (case, S, inner, base certificate)."""
+    """Shared logic for a positive ``op``; returns (case, S, inner, base certificate)."""
     cert = minimum_modulus(op, prefix=prefix)
     m = cert.value
     if cert.attained and m <= NULL_TOL:
@@ -220,7 +229,7 @@ def _positive_construction(op: OperatorRep, epsilon: float, prefix: int):
     if m > NULL_TOL:
         # a budget at or above m(T) would push past injectivity; halve instead
         inner = epsilon if epsilon < m else m / 2.0
-        x = near_minimizer(op, inner, prefix=prefix)
+        x = _near_minimizer(op, inner, cert, prefix, SCAN_LIMIT)
         s = add_rank_one(zero_like(op), RankOneTerm(-inner, x, x))
         return PerturbationCase.POSITIVE_BOUNDED_BELOW, s, inner, cert
     half = epsilon / 2.0
@@ -303,7 +312,8 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
         raise ValueError("epsilon must be positive")
     ok, _ = _positivity(op)
     if ok:
-        return attainment_perturbation_positive(op, epsilon, prefix=prefix)
+        case, s, inner, base = _positive_construction(op, epsilon, prefix)
+        return _finish(op, s, case, base, inner, case, epsilon, prefix)
     parts = polar(op)
     case, a, inner, base = _positive_construction(parts.modulus, epsilon, prefix)
     if case is PerturbationCase.NULL_DIRECTION_EXISTS:

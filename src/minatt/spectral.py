@@ -183,8 +183,14 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
         return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
 
     bt = block_tail(op)
-    scan = np.abs(bt.tail_entries(prefix))
-    scan_min = float(np.min(scan, initial=math.inf))
+    # per block: the smallest |entry| and the first index holding it
+    mins, where = [], []
+    for indices, vals in bt.tail_blocks(prefix):
+        scan = np.abs(vals)
+        i = int(np.argmin(scan))
+        mins.append(scan[i])
+        where.append(int(indices[i]))
+    scan_min = float(np.min(mins, initial=math.inf))
     tail_inf = _tail_abs_inf(bt)
 
     _, s, vh = np.linalg.svd(bt.block)
@@ -194,7 +200,7 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
             witness = bt.embed(vh[-1].conj())
             value = block_min
         else:
-            witness = Vec.basis(bt.tail_index(int(np.argmin(scan))))
+            witness = Vec.basis(where[int(np.argmin(mins))])
             value = scan_min
         applied = op.apply(witness)
         residual = abs(applied.norm() / witness.norm() - value)
@@ -253,7 +259,10 @@ def _not_self_adjoint(op: OperatorRep) -> str:
     bt = block_tail(op)
     if not _hermitian(bt.block):
         return "block not self-adjoint"
-    if float(np.max(np.abs(bt.tail_entries(SAMPLE).imag), initial=0.0)) > HERMITIAN_TOL:
+    imag = 0.0
+    for _, vals in bt.tail_blocks(SAMPLE):
+        imag = np.maximum(imag, np.max(np.abs(vals.imag)))
+    if imag > HERMITIAN_TOL:
         return "diagonal entries not real"
     for p in accumulation_points(bt.tail.tail):
         if abs(p.imag) > HERMITIAN_TOL:
@@ -384,8 +393,14 @@ def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
     if not op.is_l2:
         return np.linalg.eigvalsh(_dense(op))
     bt = block_tail(op)
-    return np.concatenate([np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)),
-                           bt.tail_entries(n).real])
+    inside = int(np.searchsorted(bt.support, n, side="right"))
+    eigs = np.empty(bt.k + n - inside)
+    eigs[:bt.k] = np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T))
+    at = bt.k
+    for _, vals in bt.tail_blocks(n):
+        eigs[at:at + vals.size] = vals.real
+        at += vals.size
+    return eigs
 
 
 def _sorted_eigs(op: OperatorRep, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from minatt import perturbation, spectral
 from minatt.operators import (
     InconclusiveError,
     MatrixOp,
@@ -277,6 +278,21 @@ def test_construct_and_verify_run_no_dense_algebra_past_1x1(monkeypatch):
     for build, op, eps in cases:
         assert verify_perturbation(op, build(op, eps)).passed
     assert max(max(shape) for shape in shapes) == 1
+
+
+def test_case1_construction_certifies_the_operator_once(monkeypatch):
+    # the construction hands its m(T) certificate on instead of recomputing it
+    op = named_diagonal("one_plus_inv_n")
+    calls = {"_positivity": 0, "minimum_modulus": 0}
+    for name in calls:
+        def spy(target, *args, _real=getattr(spectral, name), _name=name, **kwargs):
+            calls[_name] += target is op
+            return _real(target, *args, **kwargs)
+        for module in (spectral, perturbation):
+            monkeypatch.setattr(module, name, spy)
+    res = attainment_perturbation(op, 0.1)
+    assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
+    assert calls == {"_positivity": 1, "minimum_modulus": 1}
 
 
 def test_verification_catches_doubled_coefficient():

@@ -18,10 +18,12 @@ from minatt.operators import (
     named_diagonal,
     scale_shift,
 )
+from minatt.operators import _MAP_BLOCK
 from minatt.spectral import (
     DETECT_WINDOW,
     MIN_CLUSTER,
     MULTIPLICITY_TOL,
+    SAMPLE,
     _cluster,
     _detect_accumulation,
     essential_spectrum,
@@ -341,14 +343,20 @@ def test_weyl_handles_offdiagonal_hermitian_pairs():
 
 
 def test_weyl_check_evaluates_each_prefix_once(monkeypatch):
-    n = 5000
-    lengths = []
+    # the prefix is streamed in blocks: each index reaches the generator once
+    # per side, plus once more per side inside the self-adjointness sample
+    n = 150_000
+    calls = []
     real = DiagSeq.values_at
     monkeypatch.setattr(DiagSeq, "values_at",
-                        lambda self, ix: lengths.append(len(ix)) or real(self, ix))
+                        lambda self, ix: calls.append(np.array(ix)) or real(self, ix))
     weyl_check(named_diagonal("one_plus_inv_n"), [RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5))],
                prefix=n)
-    assert lengths.count(n) == 2
+    assert max(ix.size for ix in calls) <= _MAP_BLOCK
+    seen = np.bincount(np.concatenate(calls), minlength=n + 1)
+    assert seen.size == n + 1
+    assert np.all(seen[SAMPLE + 1:] == 2)
+    assert np.all(np.delete(seen[1:SAMPLE + 1], 5 - 1) == 4)  # e_5 is the bump's support
 
 
 # Plain-loop references for the run grouping in spectral.py.
