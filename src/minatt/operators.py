@@ -996,11 +996,19 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     tail = bt.tail.tail
     if tail_diverges(tail):
         raise UnboundedOperatorError("diagonal entries diverge; operator is unbounded")
+
+    def scan(stop: int, start: int = 1):
+        # a constant tail is read through one entry per range that has any
+        if bt.tail.const_value is None:
+            yield from (vals for _, vals in bt.tail_blocks(stop, start))
+        elif stop - start + 1 > sum(start <= i <= stop for i in bt.support):
+            yield bt.tail.values_at(np.array([start]))
+
     # the deviation is taken over the window past prefix / 2
     top, dev = 0.0, 0.0
-    for _, vals in bt.tail_blocks(prefix // 2):
+    for vals in scan(prefix // 2):
         top = np.maximum(top, np.max(np.abs(vals)))
-    for _, vals in bt.tail_blocks(prefix, prefix // 2 + 1):
+    for vals in scan(prefix, prefix // 2 + 1):
         top = np.maximum(top, np.max(np.abs(vals)))
         dev = np.maximum(dev, _euclid_window_dev(vals, tail))
     acc_sup = max((abs(p) for p in accumulation_points(tail)), default=0.0)

@@ -185,7 +185,7 @@ def _near_minimizer(op: OperatorRep, epsilon: float, cert: AttainmentCertificate
         if w[0] < threshold - STRICT_MARGIN:
             return bt.embed(u[:, 0])
     # 1..prefix first, then each doubling window (n, 2n]: no entry is read twice
-    start, n = 1, prefix
+    start, n = 1, max(prefix, 1)
     while True:
         for indices, vals in bt.tail_blocks(n, start):
             hits = np.flatnonzero(vals.real < threshold - STRICT_MARGIN)

@@ -1,8 +1,6 @@
 """The demos and the example scenario run to completion.
 
 Each runs in a fresh interpreter, the way a user starts it.
-`demos/gap_routes.py` is left out: its graph route at truncation 1000
-takes about 16 s.
 """
 
 import os
@@ -18,8 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("args", [
     ["demos/make_attaining.py"],
     ["demos/spectra_and_bumps.py"],
+    ["demos/gap_routes.py"],
     ["-m", "minatt.cli", "run", "demos/scenario.json"],
-], ids=["make_attaining", "spectra_and_bumps", "scenario"])
+], ids=["make_attaining", "spectra_and_bumps", "gap_routes", "scenario"])
 def test_demo_runs(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

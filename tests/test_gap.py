@@ -1,5 +1,6 @@
 """Gap metric: graph, closed-form and diagonal routes must tell one story."""
 
+import inspect
 import math
 
 import numpy as np
@@ -95,6 +96,57 @@ def test_subspace_gap_range_and_symmetry():
         two = subspace_gap(qb, qa).value
         assert one == two  # bitwise, not just close
         assert -1e-12 <= one <= 1.0 + 1e-12
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=1, max_value=12), st.sampled_from([None, 0.0, 1e-9, 1e-3]),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_subspace_gap_matches_the_projection_difference(n, da, db, near, seed):
+    # near is None: unrelated spans of dimensions da and db; otherwise the
+    # second span tilts the first by about near, so the gap is that small
+    rng = np.random.default_rng(seed)
+    da, db = min(da, n), min(db, n)
+    qa, _ = np.linalg.qr(_rand(rng, n, da))
+    if near is None:
+        qb, _ = np.linalg.qr(_rand(rng, n, db))
+    else:
+        qb, _ = np.linalg.qr(qa + near * _rand(rng, n, da))
+    expect = float(np.linalg.norm(qa @ qa.conj().T - qb @ qb.conj().T, 2))
+    value = subspace_gap(qa, qb).value
+    assert abs(value - expect) < 1e-12
+    assert subspace_gap(qb, qa).value == value
+
+
+def _svd_widths(monkeypatch):
+    # numpy.linalg.norm(., 2) calls the SVD through its own module's
+    # globals, so that name is watched as well as the public one
+    widths = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        widths.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", spy)
+    return widths
+
+
+def test_graph_gap_forms_no_projection(monkeypatch):
+    rng = np.random.default_rng(71)
+    n = 64
+    a = _rand(rng, n)
+    widths = _svd_widths(monkeypatch)
+    operator_gap_graph(MatrixOp(a), MatrixOp(a + 0.3 * _rand(rng, n)))
+    assert widths and max(widths) <= n
+
+
+def test_subspace_gap_forms_no_projection(monkeypatch):
+    rng = np.random.default_rng(73)
+    qa, _ = np.linalg.qr(_rand(rng, 256, 64))
+    qb, _ = np.linalg.qr(_rand(rng, 256, 64))
+    widths = _svd_widths(monkeypatch)
+    subspace_gap(qa, qb)
+    assert widths and max(widths) <= 64
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ def test_near_minimizer_picks_smallest_qualifying_index():
     assert near_minimizer(op, 0.5).entries == ((5, 1 + 0j),)
     assert near_minimizer(op, 0.1).entries == ((21, 1 + 0j),)
     assert near_minimizer(op, 0.01).entries == ((201, 1 + 0j),)
+
+
+def test_near_minimizer_scans_from_index_one_at_prefix_zero():
+    # an alarm turns a scan that never returns into a failure, not a hang
+    def give_up(signum, frame):
+        raise TimeoutError("near_minimizer did not return")
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        op = named_diagonal("one_plus_inv_n")
+        assert near_minimizer(op, 0.5, prefix=0) == Vec.basis(5)
+        assert near_minimizer(op, 0.5, prefix=10000) == Vec.basis(5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_near_minimizer_takes_matrix_eigenvector():
