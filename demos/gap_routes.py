@@ -11,6 +11,7 @@ from minatt import (
     SumOp,
     Vec,
     add_operators,
+    add_rank_one,
     attainment_perturbation_positive,
     gap_upper_bound_check,
     named_diagonal,
@@ -39,22 +40,34 @@ for _ in range(50):
 print(f"graph vs closed form over 50 random pairs: worst deviation {worst:.3e}\n")
 
 # Route 3 (diagonal) pairs the entries of two aligned diagonals with the
-# chordal metric on the extended plane.  Declared tail behaviour turns the
-# finite scan into a certified value: tail_bound brackets what the
-# unscanned coordinates can still contribute.
+# chordal metric on the extended plane.  On l2 every route splits the pair
+# over the union of its supports: its own kernel takes the dense blocks,
+# and the diagonal tail past them is scanned over the prefix and certified
+# from the declared tails, once for all three routes.  tail_bound brackets
+# what the unscanned coordinates can still contribute.
 t = named_diagonal("inv_n")
 s = SumOp(named_diagonal("inv_n"), 0.25,
           (RankOneTerm(-0.125, Vec.basis(17), Vec.basis(17)),))
 for prefix in (100, 10_000):
-    res = operator_gap_diagonal(s, t, prefix=prefix)
-    print(f"diagonal route, N = {prefix:>6}: value = {res.value:.12g}, "
-          f"certified tail bound = {res.tail_bound:.3g}")
+    for gap in (operator_gap_diagonal, operator_gap_graph, operator_gap_closed_form):
+        res = gap(s, t, prefix=prefix)
+        print(f"{res.route:>11} route, N = {prefix:>6}: value = {res.value:.12g}, "
+              f"certified tail bound = {res.tail_bound:.3g}")
+print()
 
-# The same pair through truncated graphs: a truncation only sees the
-# scanned prefix, so it approaches the certified value from below.
-for prefix in (100, 1000):
-    res = operator_gap_graph(s, t, truncation=prefix)
-    print(f"graph on truncation N = {prefix:>6}: value = {res.value:.12g} (no certificate)")
+# A block that is not diagonal: x -> 0.3 <x, (e1 + e2)/sqrt(2)> e3 couples
+# three coordinates.  The diagonal route refuses the pair; the graph and
+# closed-form routes measure it, and agree.
+u = Vec(((1, np.sqrt(0.5)), (2, np.sqrt(0.5))), None)
+coupled = add_rank_one(t, RankOneTerm(0.3, u, Vec.basis(3)))
+for gap in (operator_gap_graph, operator_gap_closed_form):
+    res = gap(coupled, t)
+    print(f"coupled pair, {res.route:>11} route: value = {res.value:.12g}, "
+          f"certified tail bound = {res.tail_bound:.3g}")
+try:
+    operator_gap_diagonal(coupled, t)
+except ValueError as err:
+    print(f"coupled pair, diagonal route: refused ({err})")
 print()
 
 # The gap never exceeds the norm distance; both sides are measured.

@@ -1,22 +1,23 @@
 """Gap metric between closed operators, by independent routes.
 
 The gap between two closed operators is the norm distance between the
-orthogonal projections onto their graphs { (x, Tx) }.  Three routes:
+orthogonal projections onto their graphs { (x, Tx) }.  Three routes, which
+differ only in their dense kernel:
 
-* graph: orthonormal bases of both graphs and the sine of the largest
-  principal angle between them, read off the residuals of each basis
-  against the other.  No projection is formed.  Exact for matrices,
-  applied to truncations on l2.
+* graph: the sine of the largest principal angle between orthonormal bases
+  of both graphs, read off the residuals of each basis against the other.
+  No projection is formed.
 * closed form: the defect-resolvent formula
   max( ||hat(T)^(1/2) (T - S) check(S)^(1/2)||,
        ||hat(S)^(1/2) (S - T) check(T)^(1/2)|| )
   with check(T) = (I + T*T)^(-1) and hat(T) = (I + TT*)^(-1).
-* diagonal: for diagonally aligned operators the gap is the supremum of
-  |t_n - s_n| / sqrt(1+|t_n|^2) / sqrt(1+|s_n|^2), the chordal distance of
-  paired entries on the Riemann sphere.  The prefix is scanned exactly and
-  the remainder is certified from the declared tails.
+* diagonal: the supremum of |t_n - s_n| / sqrt(1+|t_n|^2) / sqrt(1+|s_n|^2),
+  the chordal distance of paired diagonal entries on the Riemann sphere.
 
-Unbounded operators are fine on the diagonal route; that is the point of
+Matrices go to the kernel whole.  Two l2 operators split as direct sums
+over the union of their supports: the kernel takes the blocks, and the
+diagonal tails are certified once for all routes (see ``_direct_sum``).
+Unbounded operators are fine on every l2 route; that is the point of
 using the gap rather than the norm distance.
 """
 
@@ -34,7 +35,6 @@ from .operators import (
     MatrixOp,
     NormBound,
     OperatorRep,
-    Vec,
     accumulation_points,
     add_operators,
     block_tail,
@@ -44,7 +44,6 @@ from .operators import (
     scale_shift,
     shared_root,
     tail_diverges,
-    truncate,
 )
 from .operators import (_chordal, _chordal_to_infinity, _chordal_window_dev, _common_support,
                         _dense, _spectral_norm)
@@ -68,11 +67,6 @@ ROUTE_AGREE_TOL = 1e-10
 # floor added to every certified tail bound; covers float evaluation of the
 # chordal formula itself
 FLOAT_SLACK = 1e-12
-
-# largest l2 truncation the graph route accepts: its dense 2N x N graph bases
-# cost N^3 time and N^2 memory (about 4 s at 1000; the default prefix of
-# 10000 would need 3.2 GB per basis)
-GRAPH_TRUNCATION_LIMIT = 1_000
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def defect_resolvent(op: OperatorRep) -> DefectPair:
 # ---------------------------------------------------------------------------
 
 
-def _basis_matrix(basis, ambient: int | None = None) -> np.ndarray:
+def _basis_matrix(basis) -> np.ndarray:
     if isinstance(basis, np.ndarray):
         arr = np.asarray(basis, dtype=complex)
         if arr.ndim == 1:
@@ -167,7 +161,7 @@ def _basis_matrix(basis, ambient: int | None = None) -> np.ndarray:
     vecs = list(basis)
     if not vecs:
         raise ValueError("basis must contain at least one vector")
-    n = ambient or max(v.dim if v.dim is not None else v.max_index for v in vecs)
+    n = max(v.dim if v.dim is not None else v.max_index for v in vecs)
     return np.column_stack([v.dense(n) for v in vecs])
 
 
@@ -207,35 +201,25 @@ def subspace_gap(basis_m, basis_n) -> GapResult:
     return GapResult(_basis_gap(a, b), "graph", None, 0.0)
 
 
-def _graph_basis(arr: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the graph { (x, Ax) }, a 2n x n matrix."""
-    return np.linalg.qr(np.vstack([np.eye(arr.shape[1]), arr]))[0]
+def _graph_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Gap between the graphs { (x, Ax) } of two matrices of one shape, via their Q factors."""
+    q1, q2 = (np.linalg.qr(np.vstack([np.eye(m.shape[1]), m]))[0] for m in (a, b))
+    return _basis_gap(q1, q2)
 
 
 def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
-                       truncation: int | None = None) -> GapResult:
+                       prefix: int = DEFAULT_PREFIX) -> GapResult:
     """Gap via orthonormal bases of the graphs { (x, Tx) }.
 
-    Matrices are handled exactly.  l2 operators are compared through their
-    ``truncation`` compressions, at most ``GRAPH_TRUNCATION_LIMIT``, so the
-    result carries no tail certificate; use the diagonal route for certified
-    l2 gaps.
+    Matrices are handled exactly; l2 pairs take this kernel on their
+    blocks through ``_direct_sum``.
     """
     if a.is_l2 or b.is_l2:
-        if not (a.is_l2 and b.is_l2):
-            raise ValueError("graph route needs operators on a common space")
-        n = truncation or DEFAULT_PREFIX
-        if n > GRAPH_TRUNCATION_LIMIT:
-            raise ValueError(f"graph route on l2 operators takes a truncation of at most "
-                             f"{GRAPH_TRUNCATION_LIMIT}, got {n}")
-        da, db = truncate(a, n).array, truncate(b, n).array
-        value = _basis_gap(_graph_basis(da), _graph_basis(db))
-        return GapResult(value, "graph", n, math.nan)
+        return _direct_sum(a, b, _graph_gap, "graph", prefix)
     da, db = _dense(a), _dense(b)
     if da.shape != db.shape:
         raise ValueError("graph route needs matrices of identical shape")
-    value = _basis_gap(_graph_basis(da), _graph_basis(db))
-    return GapResult(value, "graph", None, 0.0)
+    return GapResult(_graph_gap(da, db), "graph", None, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,43 +239,49 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
                              prefix: int = DEFAULT_PREFIX) -> GapResult:
     """Gap from the defect-resolvent formula, no graph bases involved.
 
-    Matrices of a common shape are evaluated densely.  Diagonally aligned
-    l2 pairs decouple: the formula is applied densely on the union of the
-    two supports and coordinatewise off it, with the tail certified the
-    same way as on the diagonal route.
+    Matrices of a common shape are evaluated densely; l2 pairs take this
+    formula on their blocks through ``_direct_sum``.
     """
-    if not s.is_l2 and not t.is_l2:
-        ds, dt = _dense(s), _dense(t)
-        if ds.shape != dt.shape:
-            raise ValueError("closed form needs matrices of identical shape")
-        return GapResult(_closed_form_dense(ds, dt), "closed_form", None, 0.0)
-    if not (s.is_l2 and t.is_l2):
-        raise ValueError("closed form needs operators on a common space")
-    bs, bt = _aligned_profiles(s, t)
-    dense_part = _closed_form_dense(np.diag(np.diag(bs.block)), np.diag(np.diag(bt.block)))
-    value, tail_bound = _certify_tail(dense_part, bs, bt, prefix)
-    return GapResult(value, "closed_form", prefix, tail_bound)
+    if s.is_l2 or t.is_l2:
+        return _direct_sum(s, t, _closed_form_dense, "closed_form", prefix)
+    ds, dt = _dense(s), _dense(t)
+    if ds.shape != dt.shape:
+        raise ValueError("closed form needs matrices of identical shape")
+    return GapResult(_closed_form_dense(ds, dt), "closed_form", None, 0.0)
 
 
 # ---------------------------------------------------------------------------
-# Diagonal route
+# Diagonal route, and the direct-sum split every l2 route shares
 # ---------------------------------------------------------------------------
 
 
-def _aligned_profiles(s: OperatorRep, t: OperatorRep) -> tuple[BlockTail, BlockTail]:
-    """Both operators split over the union of their supports; rejects non-diagonal blocks.
+class _OffDiagonalBlock(ValueError):
+    """A block the diagonal route refuses."""
 
-    Their block entries and their tail entries then pair up.
+
+def _diagonal_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Chordal distance of paired diagonal entries; refuses any other blocks."""
+    for block in (a, b):
+        mags = np.abs(block)
+        scale = max(1.0, float(np.max(mags, initial=0.0)))
+        np.fill_diagonal(mags, 0.0)
+        if float(np.max(mags, initial=0.0)) > 1e-12 * scale:
+            raise _OffDiagonalBlock("diagonal route needs diagonally aligned operators")
+    return float(np.max(_chordal(np.diag(a), np.diag(b)), initial=0.0))
+
+
+def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
+                          prefix: int = DEFAULT_PREFIX) -> GapResult:
+    """Certified gap between diagonally aligned l2 operators.
+
+    The first ``prefix`` paired entries are scanned exactly with the chordal
+    formula; the declared tails contribute their joint accumulation pairs.
+    ``tail_bound`` brackets the true gap around the reported value, assuming
+    the declared tail behaviour (deviations shrinking beyond the scanned
+    window).  Unbounded entries cost nothing: the chordal distance of a
+    divergent pair tends to zero.
     """
-    if not (s.is_l2 and t.is_l2):
-        raise ValueError("diagonal route needs l2 operators")
-    pair = _common_support(s, t)
-    for bt in pair:
-        scale = max(1.0, float(np.max(np.abs(bt.block), initial=0.0)))
-        off = bt.block - np.diag(np.diag(bt.block))
-        if float(np.max(np.abs(off), initial=0.0)) > 1e-12 * scale:
-            raise ValueError("diagonal route needs diagonally aligned operators")
-    return pair
+    return _direct_sum(s, t, _diagonal_gap, "diagonal", prefix)
 
 
 def _ext_points(seq: DiagSeq) -> list[complex | None]:
@@ -371,21 +361,30 @@ def _certify_tail(block_part: float, bs: BlockTail, bt: BlockTail,
     return value, (value - prefix_part) + dev + FLOAT_SLACK
 
 
-def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
-                          prefix: int = DEFAULT_PREFIX) -> GapResult:
-    """Certified gap between diagonally aligned l2 operators.
+def _direct_sum(s: OperatorRep, t: OperatorRep, block_gap, route: str,
+                prefix: int) -> GapResult:
+    """Gap of two l2 operators: ``block_gap`` on their blocks, max the certified tail.
 
-    The first ``prefix`` paired entries are scanned exactly with the chordal
-    formula; the declared tails contribute their joint accumulation pairs.
-    ``tail_bound`` brackets the true gap around the reported value, assuming
-    the declared tail behaviour (deviations shrinking beyond the scanned
-    window).  Unbounded entries cost nothing: the chordal distance of a
-    divergent pair tends to zero.
+    Both split over the union of their supports, so the graph of each is
+    the direct sum of its block's graph and the tail's 1 x 1 graphs; the
+    gap of direct sums is the larger of the summands' gaps.
     """
-    bs, bt = _aligned_profiles(s, t)
-    block_part = float(np.max(_chordal(np.diag(bs.block), np.diag(bt.block)), initial=0.0))
-    value, tail_bound = _certify_tail(block_part, bs, bt, prefix)
-    return GapResult(value, "diagonal", prefix, tail_bound)
+    if not (s.is_l2 and t.is_l2):
+        raise ValueError(f"{route} route needs l2 operators on a common space")
+    bs, bt = _common_support(s, t)
+    value, tail_bound = _certify_tail(block_gap(bs.block, bt.block), bs, bt, prefix)
+    return GapResult(value, route, prefix, tail_bound)
+
+
+def _best_gap(s: OperatorRep, t: OperatorRep, prefix: int) -> GapResult:
+    """The diagonal route on l2 pairs with diagonal blocks, the graph route otherwise."""
+    if s.is_l2 and t.is_l2:
+        try:
+            # refused before the tail scan: a coupled pair pays one extra split
+            return operator_gap_diagonal(s, t, prefix=prefix)
+        except _OffDiagonalBlock:
+            pass
+    return operator_gap_graph(s, t, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +401,7 @@ def gap_upper_bound_check(s: OperatorRep, t: OperatorRep, *,
     unbounded difference is rejected (UnboundedOperatorError) since the
     inequality has nothing to say then.
     """
-    if not s.is_l2 and not t.is_l2:
-        gap = operator_gap_graph(s, t)
-        diff = NormBound(float(np.linalg.norm(_dense(s) - _dense(t), 2)), 0.0)
-    else:
-        gap = operator_gap_diagonal(s, t, prefix=prefix)
-        diff = operator_norm(add_operators(s, scale_shift(t, -1.0, 0.0)), prefix=prefix)
+    gap = _best_gap(s, t, prefix)
+    diff = operator_norm(add_operators(s, scale_shift(t, -1.0, 0.0)), prefix=prefix)
     margin = diff.value + diff.tail_slack - gap.value
     return GapBoundReport(gap, diff, margin, margin >= -ROUTE_AGREE_TOL)

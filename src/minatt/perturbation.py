@@ -56,7 +56,7 @@ from .spectral import (
     _positivity,
     _require_positive,
 )
-from .gap import operator_gap_diagonal, operator_gap_graph
+from .gap import _best_gap
 
 __all__ = [
     "PerturbationCase",
@@ -93,8 +93,7 @@ class PerturbationResult:
     ``inner_epsilon`` is the effective cap parameter (smaller than epsilon
     when the budget exceeded m(T), eps/4 on the vanishing-injective path,
     None when S = 0).  ``gap_bound`` is a certified upper bound on the gap
-    between T + S and T, measured by ``gap_route`` ("diagonal", "graph", or
-    "norm_bound" when only ||S|| is available as a certificate).
+    between T + S and T, measured by ``gap_route`` ("diagonal" or "graph").
     """
 
     perturbation: OperatorRep
@@ -241,17 +240,10 @@ def _positive_construction(op: OperatorRep, epsilon: float, prefix: int):
 
 
 def _certified_gap(perturbed: OperatorRep, original: OperatorRep,
-                   norm_upper: float, prefix: int) -> tuple[float, str]:
+                   prefix: int) -> tuple[float, str]:
     """An upper bound on the gap between T+S and T, best route available."""
-    if not perturbed.is_l2:
-        res = operator_gap_graph(perturbed, original)
-        return res.value, res.route
-    try:
-        res = operator_gap_diagonal(perturbed, original, prefix=prefix)
-        return res.value + res.tail_bound, res.route
-    except (ValueError, NotRepresentableError):
-        # gap never exceeds the norm distance for bounded differences
-        return norm_upper, "norm_bound"
+    res = _best_gap(perturbed, original, prefix)
+    return res.value + res.tail_bound, res.route
 
 
 def _check_construction(case: PerturbationCase, base: AttainmentCertificate,
@@ -275,8 +267,7 @@ def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,
     witness = minimum_modulus(perturbed, prefix=prefix)
     _check_construction(case, base, witness, inner)
     norm_s = operator_norm(s, prefix=prefix)
-    gap_bound, gap_route = _certified_gap(perturbed, op,
-                                          norm_s.value + norm_s.tail_slack, prefix)
+    gap_bound, gap_route = _certified_gap(perturbed, op, prefix)
     return PerturbationResult(s, tag, epsilon, inner, witness, norm_s, gap_bound, gap_route)
 
 
@@ -374,8 +365,7 @@ def verify_perturbation(op: OperatorRep, result: PerturbationResult, *,
     perturbed = add_operators(op, result.perturbation)
     cert = minimum_modulus(perturbed, prefix=prefix)
     attain_ok = cert.attained and (cert.residual is not None and cert.residual <= 1e-8)
-    gap_value, gap_route = _certified_gap(perturbed, op,
-                                          norm_s.value + norm_s.tail_slack, prefix)
+    gap_value, gap_route = _certified_gap(perturbed, op, prefix)
     gap_ok = gap_value <= result.epsilon + CHECK_TOL
     return PerturbationVerification(norm_s.value, norm_ok, cert, attain_ok,
                                     gap_value, gap_route, gap_ok)

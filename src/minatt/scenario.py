@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gap import (
+    _best_gap,
     operator_gap_closed_form,
     operator_gap_diagonal,
     operator_gap_graph,
@@ -262,30 +263,22 @@ def _run_gap_pair(exp: dict, config: ScenarioConfig, prefix: int,
     left = config.operators[exp["left"]]
     right = config.operators[exp["right"]]
     route = exp.get("route", "auto")
-    detail: dict = {}
+    if route == "auto" and not (left.is_l2 or right.is_l2):
+        graph = operator_gap_graph(left, right)
+        closed = operator_gap_closed_form(left, right)
+        deviation = abs(graph.value - closed.value)
+        detail = {"graph": graph.to_json_dict(), "closedForm": closed.to_json_dict(),
+                  "routeDeviation": deviation}
+        return graph.value, deviation <= tolerance, detail
     if route == "auto":
-        if left.is_l2 or right.is_l2:
-            res = operator_gap_diagonal(left, right, prefix=prefix)
-            detail["diagonal"] = res.to_json_dict()
-            value, passed = res.value, True
-        else:
-            graph = operator_gap_graph(left, right)
-            closed = operator_gap_closed_form(left, right)
-            deviation = abs(graph.value - closed.value)
-            detail.update({"graph": graph.to_json_dict(),
-                           "closedForm": closed.to_json_dict(),
-                           "routeDeviation": deviation})
-            value, passed = graph.value, deviation <= tolerance
+        res = _best_gap(left, right, prefix)
+    elif route == "graph":
+        res = operator_gap_graph(left, right, prefix=prefix)
+    elif route == "closed_form":
+        res = operator_gap_closed_form(left, right, prefix=prefix)
     else:
-        if route == "graph":
-            res = operator_gap_graph(left, right, truncation=prefix)
-        elif route == "closed_form":
-            res = operator_gap_closed_form(left, right, prefix=prefix)
-        else:
-            res = operator_gap_diagonal(left, right, prefix=prefix)
-        detail[route] = res.to_json_dict()
-        value, passed = res.value, True
-    return value, passed, detail
+        res = operator_gap_diagonal(left, right, prefix=prefix)
+    return res.value, True, {res.route: res.to_json_dict()}
 
 
 def _run_gap_soak(exp: dict, seed: int, tolerance: float) -> tuple[float, bool, dict]:

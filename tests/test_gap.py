@@ -22,6 +22,7 @@ from minatt.operators import (
     truncate,
 )
 from minatt.gap import (
+    GapResult,
     defect_resolvent,
     gap_upper_bound_check,
     operator_gap_closed_form,
@@ -267,19 +268,16 @@ def test_diagonal_route_needs_aligned_entries():
 
 
 def test_graph_truncations_see_exactly_the_scanned_prefix():
+    # the graph route splits the pair like the diagonal route does, so on
+    # diagonal blocks both take the same scanned prefix and certified tail
     t = named_diagonal("inv_n")
     s = SumOp(named_diagonal("inv_n"), 0.25,
               (RankOneTerm(-0.125, Vec.basis(17), Vec.basis(17)),))
-    sv = s.base.seq.values(400) + 0.25
-    sv[16] -= 0.125
-    tv = t.seq.values(400)
-    full = operator_gap_diagonal(s, t).value
     for n in (100, 400):
-        graph_n = operator_gap_graph(s, t, truncation=n)
-        first_n = max(_chordal(a, b) for a, b in zip(sv[:n], tv[:n]))
-        assert abs(graph_n.value - first_n) < 1e-8
-        assert graph_n.value <= full + 1e-8
-        assert math.isnan(graph_n.tail_bound)  # truncations carry no certificate
+        graph_n = operator_gap_graph(s, t, prefix=n)
+        diagonal_n = operator_gap_diagonal(s, t, prefix=n)
+        assert abs(graph_n.value - diagonal_n.value) < 1e-12
+        assert math.isfinite(graph_n.tail_bound)
         assert graph_n.truncation == n
 
 
@@ -375,5 +373,5 @@ def test_gap_result_json_shape():
 
 
 def test_uncertified_tail_serialises_as_null():
-    r = operator_gap_graph(named_diagonal("inv_n"), named_diagonal("inv_n"), truncation=50)
+    r = GapResult(0.5, "graph", 50, tail_bound=math.nan)
     assert r.to_json_dict()["tailBound"] is None

@@ -15,10 +15,14 @@ from minatt.operators import (
     RankOneTerm,
     SumOp,
     Vec,
+    add_operators,
+    add_rank_one,
     named_diagonal,
     scale_shift,
+    truncate,
     zero_like,
 )
+from minatt.gap import gap_upper_bound_check
 from minatt.perturbation import (
     PerturbationCase,
     attainment_perturbation,
@@ -276,6 +280,29 @@ def test_verification_reports_all_three_checks():
     assert v.norm_ok and v.attainment_ok and v.gap_ok
     assert abs(v.norm_value - 0.5) < 1e-14
     assert v.gap_value <= 0.5 + 1e-10
+
+
+@pytest.mark.parametrize("build", [attainment_perturbation, bounded_below_perturbation])
+def test_coupled_block_gets_a_measured_gap(build):
+    # T = -diag(1 + 1/n) + 0.3 <., (e1 + e2)/sqrt(2)> e3 has a block no
+    # diagonal route accepts; its gap bound is measured, not taken from ||S||
+    r = math.sqrt(0.5)
+    op = add_rank_one(scale_shift(named_diagonal("one_plus_inv_n"), -1.0, 0.0),
+                      RankOneTerm(0.3, Vec(((1, r), (2, r)), None), Vec.basis(3)))
+    res = build(op, 0.05)
+    perturbed = add_operators(op, res.perturbation)
+    assert res.gap_route == "graph"
+    assert res.gap_bound <= res.norm_s.value
+
+    def graph_projection(a):
+        g = np.vstack([np.eye(a.shape[1]), a])
+        return g @ np.linalg.solve(g.conj().T @ g, g.conj().T)
+    # T + S and T agree past e_60, so their 60 x 60 sections hold the whole gap
+    dense = np.linalg.norm(graph_projection(truncate(perturbed, 60).array)
+                           - graph_projection(truncate(op, 60).array), 2)
+    assert 0.0 <= res.gap_bound - dense <= 1e-12
+    assert verify_perturbation(op, res).passed
+    assert gap_upper_bound_check(perturbed, op).holds
 
 
 def test_construct_and_verify_run_no_dense_algebra_past_1x1(monkeypatch):

@@ -204,16 +204,17 @@ def test_truncation_priority_experiment_over_cli_over_default():
     assert report.records[1].detail["diagonal"]["truncationN"] == 128
 
 
-def test_l2_graph_route_past_its_limit_is_a_failed_record():
-    # at the default truncation the two graph projections would need > 12 GB
+def test_l2_graph_route_at_the_default_prefix_matches_the_diagonal_route():
     doc = _config_doc()
     doc["defaults"]["truncationN"] = 10_000
-    doc["experiments"] = [{"kind": "gap", "name": "graph", "left": "drop",
-                           "right": "vanish", "route": "graph"}]
-    rec = run_scenario(load_config(doc)).records[0]
-    assert not rec.passed
-    assert rec.detail["error"].startswith("ValueError")
-    assert "at most 1000" in rec.detail["error"]
+    doc["experiments"] = [{"kind": "gap", "name": route, "left": "drop",
+                           "right": "vanish", "route": route}
+                          for route in ("graph", "diagonal")]
+    graph, diagonal = run_scenario(load_config(doc)).records
+    assert graph.passed
+    assert graph.detail["graph"]["truncationN"] == 10_000
+    assert graph.value == diagonal.value
+    assert graph.detail["graph"]["tailBound"] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minatt.gap import (
     FLOAT_SLACK,
     _closed_form_dense,
     _g_ext,
+    _graph_gap,
     _tail_pairs,
     operator_gap_closed_form,
     operator_gap_diagonal,
+    operator_gap_graph,
 )
 from minatt.operators import (
     ConvergesTo,
@@ -127,6 +131,8 @@ def _gap_reference(s, t, prefix, route):
     sd, td = np.diag(np.diag(bs.block)), np.diag(np.diag(bt.block))
     if route == "diagonal":
         part = float(np.max(_chordal(np.diag(sd), np.diag(td)), initial=0.0))
+    elif route == "graph":
+        part = _graph_gap(bs.block, bt.block)
     else:
         part = _closed_form_dense(sd, td)
     g = _chordal(sv, tv)
@@ -151,15 +157,43 @@ PAIRS = {
 }
 
 
-@pytest.mark.parametrize("route", ["diagonal", "closed_form"])
+ROUTES = {"diagonal": operator_gap_diagonal, "graph": operator_gap_graph,
+          "closed_form": operator_gap_closed_form}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
 @pytest.mark.parametrize("pair", sorted(PAIRS))
 @pytest.mark.parametrize("prefix, support", CASES)
 def test_gap_routes_match_whole_prefix(prefix, support, pair, route):
     s, t = PAIRS[pair]
     s = _bumped(s, support, c=0.75)
-    gap = operator_gap_diagonal if route == "diagonal" else operator_gap_closed_form
-    res = gap(s, t, prefix=prefix)
+    res = ROUTES[route](s, t, prefix=prefix)
     assert (res.value, res.tail_bound) == _gap_reference(s, t, prefix, route)
+
+
+# indices on both sides of the first block boundary, and one far out
+_NEAR_BOUNDARY = st.sampled_from([1, 2, B - 1, B, B + 1, B + 2, 3 * B + 1])
+
+
+@settings(max_examples=10)
+@given(shift=st.floats(-2.0, 2.0), scale=st.floats(0.5, 2.0),
+       terms=st.lists(st.tuples(st.booleans(), _NEAR_BOUNDARY, _NEAR_BOUNDARY,
+                                st.floats(-1.5, 1.5).filter(lambda c: abs(c) > 1e-3)),
+                      max_size=3))
+def test_l2_routes_agree_at_n_1e6(shift, scale, terms):
+    # a shared root keeps the tail pairs exact; a term from e_i to e_j with
+    # i != j gives a block no diagonal route accepts
+    n = 10 ** 6
+    s, t = scale_shift(SPIKES, scale, shift), SPIKES
+    for on_s, i, j, c in terms:
+        term = RankOneTerm(c, Vec.basis(i), Vec.basis(j))
+        s, t = (add_rank_one(s, term), t) if on_s else (s, add_rank_one(t, term))
+    graph = operator_gap_graph(s, t, prefix=n)
+    closed = operator_gap_closed_form(s, t, prefix=n)
+    assert abs(graph.value - closed.value) < 1e-10
+    assert graph.tail_bound == closed.tail_bound
+    if all(i == j for _, i, j, _ in terms):
+        assert abs(operator_gap_diagonal(s, t, prefix=n).value - graph.value) < 1e-10
 
 
 def _near_minimizer_reference(op, epsilon, prefix, scan_limit):
@@ -232,6 +266,7 @@ def test_prefix_scans_hold_one_block_at_n_1e6():
         "operator_norm": lambda: operator_norm(bumped, prefix=n),
         "operator_gap_diagonal": lambda: operator_gap_diagonal(bumped, t, prefix=n),
         "operator_gap_closed_form": lambda: operator_gap_closed_form(bumped, t, prefix=n),
+        "operator_gap_graph": lambda: operator_gap_graph(bumped, t, prefix=n),
         "construct + verify": construct_and_verify,
     }
     peaks = {name: _peak_mib(fn) for name, fn in calls.items()}
