@@ -775,29 +775,28 @@ class BlockTail:
         """The l2 vector whose support coordinates are the block vector ``v``."""
         return Vec(tuple(zip(self.support, np.asarray(v, dtype=complex).tolist())), None)
 
-    def widen(self, support) -> "BlockTail":
-        """The same operator with its block on ``support``, a sorted superset."""
-        support = tuple(support)
-        at = np.searchsorted(support, self.support)
-        block = np.diag(self.tail.values_at(np.array(support, dtype=np.int64)))
-        block[np.ix_(at, at)] = self.block
-        return BlockTail(support, block, self.tail)
+
+def _term_support(op: OperatorRep) -> set[int]:
+    """The coordinates the rank-one terms of ``op`` touch."""
+    return {i for t in getattr(op, "terms", ()) for v in (t.left, t.right) for i, _ in v.entries}
 
 
-def block_tail(op: OperatorRep) -> BlockTail:
+def block_tail(op: OperatorRep, support=None) -> BlockTail:
     """Canonical block-plus-tail form of an l2 operator.
 
-    The block sits on the coordinates the rank-one terms touch; the operator
-    reduces over their span and its complement, so the split is exact, not
-    an approximation, and its size does not depend on how far out the terms
-    sit.
+    The block sits on the coordinates the rank-one terms touch, or on
+    ``support``, a sorted superset of them; the operator reduces over their
+    span and its complement, so the split is exact, not an approximation,
+    and its size does not depend on how far out the terms sit.
     """
     if isinstance(op, DiagonalOp):
         op = SumOp(op)
     if not (isinstance(op, SumOp) and isinstance(op.base, DiagonalOp)):
         raise NotRepresentableError("block-tail form requires an l2 operator")
-    support = tuple(sorted({i for t in op.terms for v in (t.left, t.right)
-                            for i, _ in v.entries}))
+    own = _term_support(op)
+    support = tuple(sorted(own) if support is None else support)
+    if not own.issubset(support):
+        raise ValueError("block support must hold every coordinate the rank-one terms touch")
 
     def on_support(v: Vec) -> np.ndarray:
         entries = dict(v.entries)
@@ -905,10 +904,9 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
 
 
 def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTail]:
-    """Block-tail forms of two l2 operators, widened to the union of their supports."""
-    bta, btb = block_tail(a), block_tail(b)
-    support = sorted(set(bta.support) | set(btb.support))
-    return bta.widen(support), btb.widen(support)
+    """Block-tail forms of two l2 operators, both on the union of their supports."""
+    support = sorted(_term_support(a) | _term_support(b))
+    return block_tail(a, support), block_tail(b, support)
 
 
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:
@@ -944,25 +942,17 @@ def truncate(op: OperatorRep, n: int) -> MatrixOp:
     """
     if n < 1:
         raise ValueError("truncation size must be >= 1")
-    if isinstance(op, MatrixOp):
-        r = min(n, op.rows)
-        c = min(n, op.cols)
-        out = np.zeros((n, n), dtype=complex)
-        out[:r, :c] = op.array[:r, :c]
-        return MatrixOp(out)
-    if not isinstance(op, (SumOp, DiagonalOp)):
+    if not isinstance(op, (MatrixOp, SumOp, DiagonalOp)):
         raise TypeError(f"not an operator: {op!r}")
     for t in getattr(op, "terms", ()):
         if t.max_support > n:
             raise ValueError(f"rank-one support {t.max_support} exceeds truncation size {n}")
     if op.is_l2:
-        return MatrixOp(block_tail(op).widen(range(1, n + 1)).block)
-    base = truncate(op.base, n).array.copy()
-    if op.shift != 0:
-        base += op.shift * np.eye(n)
-    for t in op.terms:
-        base += t.dense(n)
-    return MatrixOp(base)
+        return MatrixOp(block_tail(op, range(1, n + 1)).block)
+    arr = _dense(op)
+    out = np.zeros((n, n), dtype=complex)
+    out[:min(n, arr.shape[0]), :min(n, arr.shape[1])] = arr[:n, :n]
+    return MatrixOp(out)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,16 @@ For positive T one of three shapes applies:
   vector x, S = -eps <., x> x.  Then m(T + S) < m(T) - eps/2 and the new
   minimum is attained near x.
 * a null direction exists: nothing to do, S = 0.
-* injective with m(T) = 0: shift up by eps/2 first, then cap with an inner
-  parameter eps/4, so S = (eps/2) I - C.  The shift costs eps/2 in norm and
-  the cap hands the shifted operator an attained minimum.
+* injective with m(T) = 0: cap T + (eps/2) I with an inner parameter eps/4
+  at a near minimizer of T, so S = (eps/2) I - C.  The shift costs eps/2 in
+  norm and raises every <Tx, x> and m(T) alike, so T's near minimizers
+  serve T + (eps/2) I and the cap hands it an attained minimum.
 
 A general T routes through its polar decomposition T = V |T|: build A for
 the positive |T|, compose S = V A, and m(T + S) = m(|T| + A) transfers the
-witness.  When T is bounded below the composed perturbation is again rank
-one, so closed range survives along with attainment.
+witness.  The bounded-below construction is this path with Case 1 required
+(m(|T|) > 0); the composed perturbation is again rank one, so closed range
+survives along with attainment.
 """
 
 from __future__ import annotations
@@ -211,43 +213,38 @@ def rank_one_cap(epsilon: float, x: Vec) -> RankOneTerm:
 # ---------------------------------------------------------------------------
 
 
-def _shift_op(op: OperatorRep, beta: float, term: RankOneTerm) -> OperatorRep:
-    """beta*I + term on the ambient space of ``op``."""
-    if op.is_l2:
-        return add_rank_one(scale_shift(zero_like(op), 0.0, beta), term)
-    zero = zero_like(op)
-    return SumOp(zero, complex(beta), (term,))
-
-
-def _positive_construction(op: OperatorRep, epsilon: float, prefix: int):
-    """Shared logic for a positive ``op``; returns (case, S, inner, base certificate)."""
-    cert = minimum_modulus(op, prefix=prefix)
+def _positive_construction(op: OperatorRep, epsilon: float, cert: AttainmentCertificate,
+                           prefix: int) -> tuple[PerturbationCase, OperatorRep, float | None]:
+    """Case, S and inner cap parameter for a positive T whose m(T) certificate is ``cert``."""
     m = cert.value
     if cert.attained and m <= NULL_TOL:
-        return PerturbationCase.NULL_DIRECTION_EXISTS, zero_like(op), None, cert
+        return PerturbationCase.NULL_DIRECTION_EXISTS, zero_like(op), None
     if m > NULL_TOL:
+        case, shift = PerturbationCase.POSITIVE_BOUNDED_BELOW, 0.0
         # a budget at or above m(T) would push past injectivity; halve instead
         inner = epsilon if epsilon < m else m / 2.0
-        x = _near_minimizer(op, inner, cert, prefix, SCAN_LIMIT)
-        s = add_rank_one(zero_like(op), RankOneTerm(-inner, x, x))
-        return PerturbationCase.POSITIVE_BOUNDED_BELOW, s, inner, cert
-    half = epsilon / 2.0
-    inner = epsilon / 4.0  # anything in (0, eps/2) works; fix the midpoint
-    shifted = scale_shift(op, 1.0, half)
-    x = near_minimizer(shifted, inner, prefix=prefix)
-    s = _shift_op(op, half, RankOneTerm(-inner, x, x))
-    return PerturbationCase.VANISHING_INJECTIVE, s, inner, cert
+    else:
+        case, shift = PerturbationCase.VANISHING_INJECTIVE, epsilon / 2.0
+        inner = epsilon / 4.0  # anything in (0, eps/2) works; fix the midpoint
+    x = _near_minimizer(op, inner, cert, prefix, SCAN_LIMIT)
+    s = add_rank_one(scale_shift(zero_like(op), 0.0, shift), RankOneTerm(-inner, x, x))
+    return case, s, inner
 
 
-def _certified_gap(perturbed: OperatorRep, original: OperatorRep,
-                   prefix: int) -> tuple[float, str]:
-    """An upper bound on the gap between T+S and T, best route available."""
-    res = _best_gap(perturbed, original, prefix)
-    return res.value + res.tail_bound, res.route
+def _certify(op: OperatorRep, s: OperatorRep,
+             prefix: int) -> tuple[AttainmentCertificate, NormBound, float, str]:
+    """m(T + S) with its witness, ||S||, and an upper bound on gap(T + S, T) with its route."""
+    perturbed = add_operators(op, s)
+    witness = minimum_modulus(perturbed, prefix=prefix)
+    gap = _best_gap(perturbed, op, prefix)
+    return witness, operator_norm(s, prefix=prefix), gap.value + gap.tail_bound, gap.route
 
 
-def _check_construction(case: PerturbationCase, base: AttainmentCertificate,
-                        witness: AttainmentCertificate, inner: float | None):
+def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,
+            base: AttainmentCertificate, inner: float | None, tag: PerturbationCase,
+            epsilon: float, prefix: int) -> PerturbationResult:
+    """Certify T + S for a built S and check the witness against the construction."""
+    witness, norm_s, gap_bound, gap_route = _certify(op, s, prefix)
     if not witness.attained:
         raise ArithmeticError("constructed perturbation failed to attain")
     if witness.residual is not None and witness.residual > 1e-8:
@@ -257,18 +254,14 @@ def _check_construction(case: PerturbationCase, base: AttainmentCertificate,
             raise ArithmeticError(
                 f"m(T+S) = {witness.value} not below m(T) - eps/2 "
                 f"= {base.value - inner / 2.0}")
-
-
-def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,
-            base: AttainmentCertificate, inner: float | None, tag: PerturbationCase,
-            epsilon: float, prefix: int) -> PerturbationResult:
-    """Certify T + S for a built S: witness, construction check, ||S|| and gap."""
-    perturbed = add_operators(op, s)
-    witness = minimum_modulus(perturbed, prefix=prefix)
-    _check_construction(case, base, witness, inner)
-    norm_s = operator_norm(s, prefix=prefix)
-    gap_bound, gap_route = _certified_gap(perturbed, op, prefix)
     return PerturbationResult(s, tag, epsilon, inner, witness, norm_s, gap_bound, gap_route)
+
+
+def _positive_result(op: OperatorRep, epsilon: float, prefix: int) -> PerturbationResult:
+    """The positive construction for a T already checked to be positive."""
+    base = minimum_modulus(op, prefix=prefix)
+    case, s, inner = _positive_construction(op, epsilon, base, prefix)
+    return _finish(op, s, case, base, inner, case, epsilon, prefix)
 
 
 def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
@@ -281,8 +274,7 @@ def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _require_positive(op, "attainment_perturbation_positive")
-    case, s, inner, base = _positive_construction(op, epsilon, prefix)
-    return _finish(op, s, case, base, inner, case, epsilon, prefix)
+    return _positive_result(op, epsilon, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +295,10 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
         raise ValueError("epsilon must be positive")
     ok, _ = _positivity(op)
     if ok:
-        case, s, inner, base = _positive_construction(op, epsilon, prefix)
-        return _finish(op, s, case, base, inner, case, epsilon, prefix)
+        return _positive_result(op, epsilon, prefix)
     parts = polar(op)
-    case, a, inner, base = _positive_construction(parts.modulus, epsilon, prefix)
+    base = minimum_modulus(parts.modulus, prefix=prefix)
+    case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)
     if case is PerturbationCase.NULL_DIRECTION_EXISTS:
         s = zero_like(op)  # nothing was composed; keep the honest tag
         tag = case
@@ -327,24 +319,23 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
                                prefix: int = DEFAULT_PREFIX) -> PerturbationResult:
     """Rank-one perturbation of a bounded-below operator, attainment kept.
 
-    Requires m(T) > 0.  The perturbation is V S with S the positive-case
-    rank-one cap for |T|, hence itself rank one; T + V S = V (|T| + S)
-    stays bounded below with closed range and attains its minimum.
+    Requires m(T) = m(|T|) > 0.  This is the polar path with Case 1 forced:
+    S = V A with A the rank-one cap for |T|, hence itself rank one;
+    T + V A = V (|T| + A) stays bounded below with closed range and attains
+    its minimum.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cert = minimum_modulus(op, prefix=prefix)
-    if cert.value <= NULL_TOL:
-        raise ValueError("bounded_below_perturbation requires m(T) > 0")
     parts = polar(op)
-    inner = epsilon if epsilon < cert.value else cert.value / 2.0
-    x = near_minimizer(parts.modulus, inner, prefix=prefix)
-    a = add_rank_one(zero_like(op), RankOneTerm(-inner, x, x))
+    base = minimum_modulus(parts.modulus, prefix=prefix)
+    if base.value <= NULL_TOL:
+        raise ValueError("bounded_below_perturbation requires m(T) > 0")
+    case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)
     s = compose_operators(parts.isometry, a)  # A's tail is the constant 0
     if isinstance(s, SumOp) and len(s.terms) > 1:
         raise ArithmeticError("composed perturbation is not rank one")
-    return _finish(op, s, PerturbationCase.POSITIVE_BOUNDED_BELOW, cert, inner,
-                   PerturbationCase.BOUNDED_BELOW_RANK_ONE, epsilon, prefix)
+    return _finish(op, s, case, base, inner, PerturbationCase.BOUNDED_BELOW_RANK_ONE,
+                   epsilon, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +351,9 @@ def verify_perturbation(op: OperatorRep, result: PerturbationResult, *,
     witness residual, (3) the gap between T + S and T is at most epsilon.
     Nothing from the construction is trusted; T + S is rebuilt here.
     """
-    norm_s = operator_norm(result.perturbation, prefix=prefix)
+    cert, norm_s, gap_value, gap_route = _certify(op, result.perturbation, prefix)
     norm_ok = norm_s.value + norm_s.tail_slack <= result.epsilon + STRICT_MARGIN
-    perturbed = add_operators(op, result.perturbation)
-    cert = minimum_modulus(perturbed, prefix=prefix)
     attain_ok = cert.attained and (cert.residual is not None and cert.residual <= 1e-8)
-    gap_value, gap_route = _certified_gap(perturbed, op, prefix)
     gap_ok = gap_value <= result.epsilon + CHECK_TOL
     return PerturbationVerification(norm_s.value, norm_ok, cert, attain_ok,
                                     gap_value, gap_route, gap_ok)

@@ -124,12 +124,27 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _number(value, kind, what: str):
+    """``kind(value)``; a value that does not convert is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _positive(value, what: str) -> float:
+    x = _number(value, float, what)
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{what} must be positive and finite")
+    return x
+
+
 def load_config(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a scenario config.
 
     All structural problems (unknown kinds, unresolvable operator names,
-    bad generators) surface here as :class:`ConfigError`, before anything
-    runs.
+    bad generators, values that are not numbers or not in range) surface
+    here as :class:`ConfigError`, before anything runs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -148,12 +163,10 @@ def load_config(doc: dict) -> ScenarioConfig:
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be an object")
-    truncation = int(defaults.get("truncationN", DEFAULT_PREFIX))
-    tolerance = float(defaults.get("tolerance", DEFAULT_TOLERANCE))
+    truncation = _number(defaults.get("truncationN", DEFAULT_PREFIX), int, "defaults.truncationN")
+    tolerance = _positive(defaults.get("tolerance", DEFAULT_TOLERANCE), "defaults.tolerance")
     if truncation < 1:
         raise ConfigError("defaults.truncationN must be >= 1")
-    if tolerance <= 0:
-        raise ConfigError("defaults.tolerance must be positive")
 
     seen = set()
     for i, exp in enumerate(raw_exps):
@@ -164,8 +177,8 @@ def load_config(doc: dict) -> ScenarioConfig:
         if kind not in _KINDS:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; expected one of {_KINDS}")
         name = exp.get("name", f"{kind}-{i}")
-        if name in seen:
-            raise ConfigError(f"{ctx}: duplicate experiment name {name!r}")
+        if not isinstance(name, str) or name in seen:
+            raise ConfigError(f"{ctx}: experiment name {name!r} is a duplicate or not a string")
         seen.add(name)
         _validate_experiment(exp, kind, ctx, operators)
     return ScenarioConfig(operators, tuple(raw_exps), truncation, tolerance)
@@ -173,38 +186,37 @@ def load_config(doc: dict) -> ScenarioConfig:
 
 def _check_ref(exp: dict, key: str, ctx: str, operators: dict):
     ref = _require(exp, key, ctx)
-    if ref not in operators:
+    if not isinstance(ref, str) or ref not in operators:
         raise ConfigError(f"{ctx}: unknown operator {ref!r}")
 
 
 def _validate_experiment(exp: dict, kind: str, ctx: str, operators: dict):
-    if "truncationN" in exp and int(exp["truncationN"]) < 1:
+    if "truncationN" in exp and _number(exp["truncationN"], int, f"{ctx}: truncationN") < 1:
         raise ConfigError(f"{ctx}: truncationN must be >= 1")
+    if "tolerance" in exp:
+        _positive(exp["tolerance"], f"{ctx}: tolerance")
+    if "seed" in exp and _number(exp["seed"], int, f"{ctx}: seed") < 0:
+        raise ConfigError(f"{ctx}: seed must be >= 0")
     expect = exp.get("expect")
     if expect is not None:
         if not isinstance(expect, dict) or "value" not in expect:
             raise ConfigError(f"{ctx}: 'expect' must be an object with a value")
-        try:
-            float(expect["value"])
-            tol = float(expect.get("tolerance", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{ctx}: bad expect block: {exc}") from exc
-        if tol <= 0:
-            raise ConfigError(f"{ctx}: expect.tolerance must be positive")
+        _number(expect["value"], float, f"{ctx}: expect.value")
+        if "tolerance" in expect:
+            _positive(expect["tolerance"], f"{ctx}: expect.tolerance")
     if kind == "perturb":
         _check_ref(exp, "target", ctx, operators)
-        eps = float(_require(exp, "epsilon", ctx))
-        if eps <= 0:
-            raise ConfigError(f"{ctx}: epsilon must be positive")
+        _positive(_require(exp, "epsilon", ctx), f"{ctx}: epsilon")
         if exp.get("variant", "auto") not in _VARIANTS:
             raise ConfigError(f"{ctx}: unknown variant {exp.get('variant')!r}")
     elif kind == "gap":
         if "randomPairs" in exp:
-            if int(exp["randomPairs"]) < 1:
+            if _number(exp["randomPairs"], int, f"{ctx}: randomPairs") < 1:
                 raise ConfigError(f"{ctx}: randomPairs must be >= 1")
             dims = exp.get("dims", [1, 8])
-            if (not isinstance(dims, list) or len(dims) != 2
-                    or int(dims[0]) < 1 or int(dims[1]) < int(dims[0])):
+            if not (isinstance(dims, list) and len(dims) == 2
+                    and 1 <= _number(dims[0], int, f"{ctx}: dims")
+                    <= _number(dims[1], int, f"{ctx}: dims")):
                 raise ConfigError(f"{ctx}: dims must be [lo, hi] with 1 <= lo <= hi")
         else:
             _check_ref(exp, "left", ctx, operators)

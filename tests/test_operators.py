@@ -551,6 +551,23 @@ def test_truncate_is_the_exact_corner():
     np.testing.assert_allclose(tr.array, _dense_of(op, 4), atol=1e-14)
 
 
+def test_truncate_of_a_finite_sum_is_the_corner_of_its_matrix():
+    # the shift of a finite sum acts on the matrix, not on the padding past it
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(truncate(SumOp(MatrixOp(a), 0.5), 3).array,
+                                  truncate(MatrixOp(a + 0.5 * np.eye(2)), 3).array)
+
+
+def test_block_tail_on_a_wider_support():
+    op = add_rank_one(named_diagonal("inv_n"), RankOneTerm(0.5, Vec.basis(4), Vec.basis(2)))
+    own = block_tail(op)
+    wide = block_tail(op, (1, 2, 4, 7))
+    np.testing.assert_array_equal(wide.block[np.ix_([1, 2], [1, 2])], own.block)
+    np.testing.assert_array_equal(np.diag(wide.block)[[0, 3]], [1.0, 1.0 / 7.0])
+    with pytest.raises(ValueError):
+        block_tail(op, (1, 2, 3))
+
+
 def test_truncate_refuses_to_cut_through_terms():
     op = add_rank_one(named_diagonal("inv_n"),
                       RankOneTerm(1.0, Vec.basis(6), Vec.basis(6)))

@@ -266,6 +266,9 @@ def test_bounded_below_requires_positive_minimum():
         bounded_below_perturbation(named_diagonal("inv_n"), 0.5)
     with pytest.raises(ValueError):
         bounded_below_perturbation(named_diagonal("alternating01"), 0.5)
+    # refused before any scan: a Case 3 scan at this epsilon would run out of budget
+    with pytest.raises(ValueError):
+        bounded_below_perturbation(named_diagonal("inv_n"), 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +329,32 @@ def test_construct_and_verify_run_no_dense_algebra_past_1x1(monkeypatch):
 def test_case1_construction_certifies_the_operator_once(monkeypatch):
     # the construction hands its m(T) certificate on instead of recomputing it
     op = named_diagonal("one_plus_inv_n")
-    calls = {"_positivity": 0, "minimum_modulus": 0}
-    for name in calls:
+    seen = {"_positivity": [], "minimum_modulus": []}
+    for name in seen:
         def spy(target, *args, _real=getattr(spectral, name), _name=name, **kwargs):
-            calls[_name] += target is op
+            seen[_name].append(target)
             return _real(target, *args, **kwargs)
         for module in (spectral, perturbation):
             monkeypatch.setattr(module, name, spy)
-    res = attainment_perturbation(op, 0.1)
+
+    def counted(build, target, epsilon, only=None):
+        for targets in seen.values():
+            targets.clear()
+        res = build(target, epsilon)
+        return res, {name: sum(only is None or t is only for t in targets)
+                     for name, targets in seen.items()}
+
+    res, calls = counted(attainment_perturbation, op, 0.1, only=op)
     assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
     assert calls == {"_positivity": 1, "minimum_modulus": 1}
+    # every call counts below: Case 3 scans T itself rather than a shifted
+    # copy, and bounded below checks m(|T|) once and no positivity at all
+    res, calls = counted(attainment_perturbation_positive, named_diagonal("inv_n"), 1e-3)
+    assert res.case is PerturbationCase.VANISHING_INJECTIVE
+    assert calls == {"_positivity": 1, "minimum_modulus": 2}
+    res, calls = counted(bounded_below_perturbation, scale_shift(op, -1.0, 0.0), 0.1)
+    assert res.case is PerturbationCase.BOUNDED_BELOW_RANK_ONE
+    assert calls == {"_positivity": 0, "minimum_modulus": 2}
 
 
 def test_verification_catches_doubled_coefficient():

@@ -84,6 +84,31 @@ def test_valid_config_loads():
                                        "expect": {"value": "tall"}}),
     lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
                                        "expect": {"value": 1.0, "tolerance": 0}}),
+    # values that do not convert, or convert to nothing usable
+    lambda d: d["defaults"].update(truncationN="many"),
+    lambda d: d["experiments"].append({"kind": "perturb", "target": "drop",
+                                       "epsilon": "small"}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "truncationN": None}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3,
+                                       "dims": ["a", 3]}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": ["drop"]}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "tolerance": "loose"}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "seed": "x"}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "seed": -1}),
+    lambda d: d["experiments"].append({"kind": "perturb", "target": "drop",
+                                       "epsilon": math.nan}),
+    lambda d: d["experiments"].append({"kind": "perturb", "target": "drop",
+                                       "epsilon": math.inf}),
+    lambda d: d["defaults"].update(tolerance=math.nan),
+    lambda d: d["defaults"].update(tolerance=math.inf),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "tolerance": math.nan}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "expect": {"value": 1.0, "tolerance": math.inf}}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop", "name": 3}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop", "name": ["x"]}),
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -333,6 +358,9 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
     assert main(["run", _write_config(tmp_path, bad)]) == 2
     ok = _config_doc()
     assert main(["run", _write_config(tmp_path, ok), "--truncation", "0"]) == 2
+    loose = _config_doc()
+    loose["experiments"][0]["tolerance"] = "loose"
+    assert main(["run", _write_config(tmp_path, loose)]) == 2
 
 
 def test_cli_exit_three_when_report_unwritable(tmp_path, capsys):
