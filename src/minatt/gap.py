@@ -18,7 +18,8 @@ Matrices go to the kernel whole.  Two l2 operators split as direct sums
 over the union of their supports: the kernel takes the blocks, and the
 diagonal tails are certified once for all routes (see ``_direct_sum``).
 Unbounded operators are fine on every l2 route; that is the point of
-using the gap rather than the norm distance.
+using the gap rather than the norm distance.  A perturbation's certificate
+gap(T + S, T) is taken from range(S*) alone (see ``_perturbation_gap``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 from .operators import (
     DEFAULT_PREFIX,
+    RANK_TOL,
     BlockTail,
     DiagSeq,
     MatrixOp,
@@ -376,15 +378,43 @@ def _direct_sum(s: OperatorRep, t: OperatorRep, block_gap, route: str,
     return GapResult(value, route, prefix, tail_bound)
 
 
-def _best_gap(s: OperatorRep, t: OperatorRep, prefix: int) -> GapResult:
+def _best_gap(s: OperatorRep, t: OperatorRep, prefix: int | None) -> GapResult:
     """The diagonal route on l2 pairs with diagonal blocks, the graph route otherwise."""
-    if s.is_l2 and t.is_l2:
-        try:
-            # refused before the tail scan: a coupled pair pays one extra split
-            return operator_gap_diagonal(s, t, prefix=prefix)
-        except _OffDiagonalBlock:
-            pass
-    return operator_gap_graph(s, t, prefix=prefix)
+    if not (s.is_l2 and t.is_l2):
+        return operator_gap_graph(s, t, prefix=prefix)
+    bs, bt = _common_support(s, t)
+    try:
+        block_part, route = _diagonal_gap(bs.block, bt.block), "diagonal"
+    except _OffDiagonalBlock:
+        block_part, route = _graph_gap(bs.block, bt.block), "graph"
+    if prefix is None:  # the caller knows the l2 tails are entrywise identical
+        return GapResult(block_part, route, None, FLOAT_SLACK)
+    value, tail_bound = _certify_tail(block_part, bs, bt, prefix)
+    return GapResult(value, route, prefix, tail_bound)
+
+
+def _perturbation_gap(t: OperatorRep, s: OperatorRep, perturbed: OperatorRep,
+                      prefix: int) -> tuple[NormBound, GapResult]:
+    """||S|| and gap(T + S, T), with ``perturbed`` = T + S, taken where the graphs differ.
+
+    Both graphs contain W = {(x, Tx) : Sx = 0}, so the gap is that of W's
+    complements (Kato IV §2), spanned by (Y, TY) for Y = (I + T*T)^(-1) R and
+    likewise for T + S, R an orthonormal basis of range(S*).  I + T*T squares
+    T's condition number, so a matrix too large for it compares whole graphs.
+    """
+    if t.is_l2:  # an S with the constant tail 0 leaves both tails the same
+        scan = None if block_tail(s).tail.const_value == 0 else prefix
+        return operator_norm(s, prefix=prefix), _best_gap(perturbed, t, scan)
+    _, sv, vh = np.linalg.svd(_dense(s), full_matrices=False)
+    k = int(np.count_nonzero(sv > RANK_TOL * max(1.0, sv[0])))
+    dp, dt = _dense(perturbed), _dense(t)
+    if np.finfo(float).eps * max(np.linalg.norm(dp), np.linalg.norm(dt)) ** 2 > ROUTE_AGREE_TOL:
+        return NormBound(float(sv[0])), GapResult(_graph_gap(dp, dt), "graph", None, 0.0)
+    bases = []  # empty when k = 0, and equal empty bases give exactly 0
+    for m in (dp, dt):
+        y = np.linalg.solve(np.eye(m.shape[1]) + m.conj().T @ m, vh[:k].conj().T)
+        bases.append(np.linalg.qr(np.vstack([y, m @ y]))[0])
+    return NormBound(float(sv[0])), GapResult(_basis_gap(*bases), "graph", None, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,10 @@ the positive |T|, compose S = V A, and m(T + S) = m(|T| + A) transfers the
 witness.  The bounded-below construction is this path with Case 1 required
 (m(|T|) > 0); the composed perturbation is again rank one, so closed range
 survives along with attainment.
+
+The gap bound is taken where the graphs of T + S and T differ, from
+range(S*) of the S being certified (see ``gap._perturbation_gap``), so an
+l2 S whose tail is 0 costs no tail scan.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from .operators import (
     add_rank_one,
     block_tail,
     compose_operators,
-    operator_norm,
     operator_to_json,
     scale_shift,
     zero_like,
@@ -58,7 +61,7 @@ from .spectral import (
     _positivity,
     _require_positive,
 )
-from .gap import _best_gap
+from .gap import _perturbation_gap
 
 __all__ = [
     "PerturbationCase",
@@ -95,7 +98,9 @@ class PerturbationResult:
     ``inner_epsilon`` is the effective cap parameter (smaller than epsilon
     when the budget exceeded m(T), eps/4 on the vanishing-injective path,
     None when S = 0).  ``gap_bound`` is a certified upper bound on the gap
-    between T + S and T, measured by ``gap_route`` ("diagonal" or "graph").
+    between T + S and T, measured by ``gap_route`` ("diagonal" or "graph"):
+    the kernel that compared the graphs where they differ, on range(S*) of
+    a matrix S or on the blocks of an l2 pair.
     """
 
     perturbation: OperatorRep
@@ -236,8 +241,8 @@ def _certify(op: OperatorRep, s: OperatorRep,
     """m(T + S) with its witness, ||S||, and an upper bound on gap(T + S, T) with its route."""
     perturbed = add_operators(op, s)
     witness = minimum_modulus(perturbed, prefix=prefix)
-    gap = _best_gap(perturbed, op, prefix)
-    return witness, operator_norm(s, prefix=prefix), gap.value + gap.tail_bound, gap.route
+    norm_s, gap = _perturbation_gap(op, s, perturbed, prefix)
+    return witness, norm_s, gap.value + gap.tail_bound, gap.route
 
 
 def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,

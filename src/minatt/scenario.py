@@ -235,6 +235,10 @@ def _validate_experiment(exp: dict, kind: str, ctx: str, operators: dict):
                 raise ConfigError(f"{ctx}: each term needs a coeff")
             if "index" not in t and not ("left" in t and "right" in t):
                 raise ConfigError(f"{ctx}: each term needs an index or left/right vectors")
+        try:
+            _parse_terms(terms)
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"{ctx}: terms: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minatt.operators import (
+    DEFAULT_PREFIX,
     MatrixOp,
     RankOneTerm,
     SumOp,
@@ -23,6 +24,8 @@ from minatt.operators import (
 )
 from minatt.gap import (
     GapResult,
+    _graph_gap,
+    _perturbation_gap,
     defect_resolvent,
     gap_upper_bound_check,
     operator_gap_closed_form,
@@ -200,6 +203,44 @@ def test_gap_triangle_inequality_on_random_triples():
         ab = operator_gap_graph(a, b).value
         bc = operator_gap_graph(b, c).value
         assert ac <= ab + bc + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Finite-rank certificate of gap(T + S, T)
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**31 - 1))
+def test_finite_rank_gap_matches_the_whole_graph_gap(rows, cols, rank, seed):
+    # S = U diag(c) V* of rank k <= 3 next to a T with rows != cols allowed;
+    # the gap from range(S*) must be the gap of the two whole graphs
+    rng = np.random.default_rng(seed)
+    k = min(rank, rows, cols)
+    t = _rand(rng, rows, cols)
+    u = np.linalg.qr(_rand(rng, rows, max(k, 1)))[0][:, :k]
+    v = np.linalg.qr(_rand(rng, cols, max(k, 1)))[0][:, :k]
+    s = (u * rng.uniform(0.05, 2.0, k)) @ v.conj().T
+    norm, gap = _perturbation_gap(MatrixOp(t), MatrixOp(s), MatrixOp(t + s), DEFAULT_PREFIX)
+    assert gap.route == "graph" and gap.tail_bound == 0.0
+    assert abs(norm.value - np.linalg.norm(s, 2)) <= 1e-12
+    if k == 0:
+        assert gap.value == 0.0 and norm.value == 0.0
+    else:
+        assert abs(gap.value - _graph_gap(t + s, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("top", [1e2, 1e8])
+def test_finite_rank_gap_of_a_graded_matrix(top):
+    # S acts where T is smallest; at sigma_max = 1e8 the normal equations
+    # I + T*T lose every digit (0.2 off), so the whole graphs are compared
+    rng = np.random.default_rng(37)
+    n = 32
+    u, v = (np.linalg.qr(_rand(rng, n))[0] for _ in range(2))
+    t = (u * np.logspace(-2, np.log10(top), n)) @ v.conj().T
+    s = 0.05 * np.outer(u[:, 0], v[:, 0].conj())
+    _, gap = _perturbation_gap(MatrixOp(t), MatrixOp(s), MatrixOp(t + s), DEFAULT_PREFIX)
+    assert abs(gap.value - _graph_gap(t + s, t)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Minimum-attaining perturbations: all construction cases and verification."""
 
 import dataclasses
+import inspect
 import json
 import math
 import signal
@@ -8,8 +9,10 @@ import signal
 import numpy as np
 import pytest
 
-from minatt import perturbation, spectral
+from minatt import gap, perturbation, spectral
 from minatt.operators import (
+    ConvergesTo,
+    DiagonalOp,
     InconclusiveError,
     MatrixOp,
     RankOneTerm,
@@ -17,12 +20,14 @@ from minatt.operators import (
     Vec,
     add_operators,
     add_rank_one,
+    diagonal_seq,
     named_diagonal,
     scale_shift,
     truncate,
     zero_like,
 )
-from minatt.gap import gap_upper_bound_check
+from minatt.operators import _dense
+from minatt.gap import _graph_gap, gap_upper_bound_check
 from minatt.perturbation import (
     PerturbationCase,
     attainment_perturbation,
@@ -357,6 +362,87 @@ def test_case1_construction_certifies_the_operator_once(monkeypatch):
     assert calls == {"_positivity": 0, "minimum_modulus": 2}
 
 
+def _tail_scans(monkeypatch):
+    # (value, tail_bound) of every gap tail certified by a scan
+    scans = []
+    real = gap._certify_tail
+
+    def spy(*args):
+        scans.append(real(*args))
+        return scans[-1]
+    monkeypatch.setattr(gap, "_certify_tail", spy)
+    return scans
+
+
+def test_finite_rank_certificates_scan_no_tail(monkeypatch):
+    # S's tail is the constant 0 in Case 1, bounded below and GeneralVA over
+    # Case 1, so T + S and T share their tail entry for entry
+    op = named_diagonal("one_plus_inv_n")
+    scans = _tail_scans(monkeypatch)
+    cases = []
+    for build, target in ((attainment_perturbation, op),
+                          (bounded_below_perturbation, op),
+                          (attainment_perturbation, scale_shift(op, -1.0, 0.0))):
+        res = build(target, 0.1)
+        assert verify_perturbation(target, res).passed
+        cases.append(res.case)
+    assert cases == [PerturbationCase.POSITIVE_BOUNDED_BELOW,
+                     PerturbationCase.BOUNDED_BELOW_RANK_ONE, PerturbationCase.POLAR_COMPOSED]
+    assert scans == []
+    # Case 3's S = (eps/2) I - cap is not of finite rank: its tail is scanned
+    op = named_diagonal("inv_n")
+    res = attainment_perturbation_positive(op, 0.5)
+    assert res.case is PerturbationCase.VANISHING_INJECTIVE
+    assert verify_perturbation(op, res).passed
+    assert len(scans) == 2 and all(math.isfinite(bound) for _, bound in scans)
+
+
+def test_case1_at_n_1e6_reads_no_prefix_for_the_gap():
+    # m(T) once and m(T + S) twice, about 1e6 entries each; scanning the
+    # tails of T + S and T for the gap read 4e6 more
+    n = 10 ** 6
+    read = []
+
+    def gen(a):
+        read.append(a.size)
+        return 1.0 + 1.0 / a
+    op = DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=gen))
+    assert verify_perturbation(op, attainment_perturbation(op, 0.1, prefix=n), prefix=n).passed
+    assert sum(read) <= 3_100_000
+
+
+def test_matrix_certificate_forms_no_whole_graph_basis(monkeypatch):
+    rng = np.random.default_rng(29)
+    n = 64
+    op = MatrixOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    qr_shapes, svd_operands, s_svds = [], [], []
+    real_qr, real_svd, real_certify = np.linalg.qr, np.linalg.svd, perturbation._certify
+
+    def qr_spy(a, *args, **kwargs):
+        qr_shapes.append(np.shape(a))
+        return real_qr(a, *args, **kwargs)
+
+    def svd_spy(a, *args, **kwargs):
+        svd_operands.append(np.array(a))
+        return real_svd(a, *args, **kwargs)
+
+    def certify_spy(target, s, prefix):
+        start = len(svd_operands)
+        out = real_certify(target, s, prefix)
+        s_dense = _dense(s)
+        s_svds.append(sum(np.array_equal(a, s_dense) for a in svd_operands[start:]))
+        return out
+    monkeypatch.setattr(np.linalg, "qr", qr_spy)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
+    monkeypatch.setattr(perturbation, "_certify", certify_spy)
+    res = attainment_perturbation(op, 0.05)
+    assert verify_perturbation(op, res).passed
+    assert res.case is PerturbationCase.POLAR_COMPOSED
+    assert (2 * n, n) not in qr_shapes
+    assert len(s_svds) == 2 and max(s_svds) <= 1
+
+
 def test_verification_catches_doubled_coefficient():
     op = named_diagonal("one_plus_inv_n")
     res = attainment_perturbation_positive(op, 0.5)
@@ -367,6 +453,18 @@ def test_verification_catches_doubled_coefficient():
     v = verify_perturbation(op, corrupted)
     assert not v.norm_ok
     assert not v.passed
+    # a matrix GeneralVA result: range(S*) is read from the S handed over,
+    # so the gap is that of the doubled S
+    rng = np.random.default_rng(31)
+    t = 3.0 * np.eye(6) + 0.5 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    res = attainment_perturbation(MatrixOp(t), 0.5)
+    assert res.case is PerturbationCase.POLAR_COMPOSED
+    s_bad = 2.0 * res.perturbation.array
+    v = verify_perturbation(MatrixOp(t), dataclasses.replace(res, perturbation=MatrixOp(s_bad)))
+    assert not v.norm_ok
+    assert not v.passed
+    assert abs(v.gap_value - _graph_gap(t + s_bad, t)) <= 1e-12
+    assert v.gap_value > res.gap_bound + 1e-3
 
 
 def test_result_serialises_to_json():

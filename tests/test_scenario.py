@@ -109,6 +109,13 @@ def test_valid_config_loads():
                                        "expect": {"value": 1.0, "tolerance": math.inf}}),
     lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop", "name": 3}),
     lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop", "name": ["x"]}),
+    # weyl terms that do not convert into rank-one terms
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": "abc", "index": 5}]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": 0.5, "index": "five"}]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": 0.5, "index": 0}]}),
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -361,6 +368,11 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
     loose = _config_doc()
     loose["experiments"][0]["tolerance"] = "loose"
     assert main(["run", _write_config(tmp_path, loose)]) == 2
+    for term in ({"coeff": "abc", "index": 5}, {"coeff": 0.5, "index": "five"},
+                 {"coeff": 0.5, "index": 0}):
+        malformed = _config_doc()
+        malformed["experiments"][-1]["terms"] = [term]
+        assert main(["run", _write_config(tmp_path, malformed)]) == 2
 
 
 def test_cli_exit_three_when_report_unwritable(tmp_path, capsys):
