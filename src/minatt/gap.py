@@ -10,7 +10,9 @@ differ only in their dense kernel:
 * closed form: the defect-resolvent formula
   max( ||hat(T)^(1/2) (T - S) check(S)^(1/2)||,
        ||hat(S)^(1/2) (S - T) check(T)^(1/2)|| )
-  with check(T) = (I + T*T)^(-1) and hat(T) = (I + TT*)^(-1).
+  with check(T) = (I + T*T)^(-1) and hat(T) = (I + TT*)^(-1), evaluated
+  from one SVD of each matrix: with T = U diag(s) V* and r = 1/hypot(1, s),
+  check(T)^(1/2) = V diag(r) V* and hat(T)^(1/2) = U diag(r) U*.
 * diagonal: the supremum of |t_n - s_n| / sqrt(1+|t_n|^2) / sqrt(1+|s_n|^2),
   the chordal distance of paired diagonal entries on the Riemann sphere.
 
@@ -49,7 +51,6 @@ from .operators import (
 )
 from .operators import (_chordal, _chordal_to_infinity, _chordal_window_dev, _common_support,
                         _dense, _spectral_norm)
-from .spectral import _sqrt_psd
 
 __all__ = [
     "GapResult",
@@ -124,12 +125,19 @@ def _defect_map(a: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.abs(a) ** 2)
 
 
+def _defect_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U, r_U, V*, r_V from A = U diag(s) V* and r = 1/hypot(1, s) padded with 1,
+    so hat(A)^(1/2) = U diag(r_U) U* and check(A)^(1/2) = V diag(r_V) V*."""
+    u, s, vh = np.linalg.svd(a)
+    r_u, r_v = np.ones(a.shape[0]), np.ones(a.shape[1])
+    r_u[:s.size] = r_v[:s.size] = 1.0 / np.hypot(1.0, s)
+    return u, r_u, vh, r_v
+
+
 def _defect_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """check = (I + A*A)^(-1) and hat = (I + AA*)^(-1) of a dense matrix."""
-    m, n = a.shape
-    check = np.linalg.solve(np.eye(n) + a.conj().T @ a, np.eye(n))
-    hat = np.linalg.solve(np.eye(m) + a @ a.conj().T, np.eye(m))
-    return check, hat
+    """check = (I + A*A)^(-1) and hat = (I + AA*)^(-1) of a dense matrix, from one SVD."""
+    u, r_u, vh, r_v = _defect_factors(a)
+    return (vh.conj().T * r_v ** 2) @ vh, (u * r_u ** 2) @ u.conj().T
 
 
 def defect_resolvent(op: OperatorRep) -> DefectPair:
@@ -230,11 +238,14 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
 
 
 def _closed_form_dense(s: np.ndarray, t: np.ndarray) -> float:
-    t_check, t_hat = _defect_dense(t)
-    s_check, s_hat = _defect_dense(s)
-    one = np.linalg.norm(_sqrt_psd(t_hat) @ (t - s) @ _sqrt_psd(s_check), 2)
-    two = np.linalg.norm(_sqrt_psd(s_hat) @ (s - t) @ _sqrt_psd(t_check), 2)
-    return float(max(one, two))
+    """By unitary invariance ||hat(T)^(1/2) (T - S) check(S)^(1/2)|| is ||diag(r_T) U_T*
+    (T - S) V_S diag(r_S)||, and I + T*T, which squares T's condition, is never formed."""
+    u_t, hat_t, vh_t, check_t = _defect_factors(t)
+    u_s, hat_s, vh_s, check_s = _defect_factors(s)
+    d = t - s
+    one = hat_t[:, None] * (u_t.conj().T @ d @ vh_s.conj().T) * check_s
+    two = hat_s[:, None] * (u_s.conj().T @ d @ vh_t.conj().T) * check_t
+    return max(_spectral_norm(one), _spectral_norm(two))
 
 
 def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,

@@ -133,7 +133,7 @@ class Vec:
         cleaned = []
         last = 0
         for idx, val in self.entries:
-            if not isinstance(idx, (int, np.integer)) or idx < 1:
+            if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or idx < 1:
                 raise ValueError(f"indices must be positive integers, got {idx!r}")
             if idx <= last:
                 raise ValueError("indices must be strictly increasing")
@@ -324,9 +324,11 @@ def map_tail(tail: TailSpec, f, at_infinity=None) -> TailSpec:
 # ---------------------------------------------------------------------------
 
 
-# a derived sequence maps its root's entries in blocks of this length, so the
-# temporaries of a composed map stay small next to a long prefix
+# a derived sequence maps its root's entries in blocks of _MAP_BLOCK; a scan's
+# blocks double from _FIRST_BLOCK up to it, so a short prefix's temporaries are
+# small enough for the heap to reuse instead of trimming and faulting them back
 _MAP_BLOCK = 1 << 16
+_FIRST_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -758,18 +760,20 @@ class BlockTail:
     def tail_blocks(self, stop: int, start: int = 1):
         """``(indices, entries)`` of the tail at start..stop off the support, in blocks.
 
-        A block holds at most ``_MAP_BLOCK`` indices, so a scan of a long
-        prefix holds one block at a time; forms on one support pair up.
+        Blocks double from ``_FIRST_BLOCK`` to ``_MAP_BLOCK`` indices, so a
+        scan holds one block at a time; forms on one support pair up.
         """
         support = np.array(self.support, dtype=np.int64)
-        for lo in range(start, stop + 1, _MAP_BLOCK):
-            hi = min(lo + _MAP_BLOCK, stop + 1)
+        lo, size = start, _FIRST_BLOCK
+        while lo <= stop:
+            hi = min(lo + size, stop + 1)
             indices = np.arange(lo, hi)
             inside = support[(support >= lo) & (support < hi)]
             if inside.size:
                 indices = np.delete(indices, inside - lo)
             if indices.size:
                 yield indices, self.tail.values_at(indices)
+            lo, size = hi, min(2 * size, _MAP_BLOCK)
 
     def embed(self, v: np.ndarray) -> Vec:
         """The l2 vector whose support coordinates are the block vector ``v``."""
@@ -1067,8 +1071,8 @@ def _vec_to_json(v: Vec) -> dict:
 
 def vec_from_json(obj: dict) -> Vec:
     if "basis" in obj:
-        return Vec.basis(int(obj["basis"]), obj.get("dim"))
-    entries = tuple((int(i), scalar_from_json(z)) for i, z in obj["entries"])
+        return Vec.basis(obj["basis"], obj.get("dim"))
+    entries = tuple((i, scalar_from_json(z)) for i, z in obj["entries"])
     return Vec(entries, obj.get("dim"))
 
 

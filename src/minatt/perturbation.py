@@ -52,12 +52,11 @@ from .operators import (
     scale_shift,
     zero_like,
 )
-from .operators import _dense
 from .spectral import (
     NULL_TOL,
     AttainmentCertificate,
     minimum_modulus,
-    polar,
+    _polar,
     _positivity,
     _require_positive,
 )
@@ -162,10 +161,11 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
                    scan_limit: int = SCAN_LIMIT) -> Vec:
     """A unit x with <Tx, x> < m(T) + epsilon/2, strictly (margin 1e-12).
 
-    Positive operators only.  Matrices take the minimal eigenvector; l2
-    operators take the block eigenvector when it qualifies and the smallest
-    qualifying diagonal index off the block otherwise, scanning lazily past
-    the prefix up to ``scan_limit`` entries.
+    Positive operators only.  Matrices take the witness of m(T), an
+    eigenvector at the least eigenvalue; l2 operators take the block
+    eigenvector when it qualifies and the smallest qualifying diagonal index
+    off the block otherwise, scanning lazily past the prefix up to
+    ``scan_limit`` entries.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -175,15 +175,16 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
 
 def _near_minimizer(op: OperatorRep, epsilon: float, cert: AttainmentCertificate,
                     prefix: int, scan_limit: int) -> Vec:
-    """:func:`near_minimizer` of a positive T whose m(T) certificate is ``cert``."""
+    """:func:`near_minimizer` of a positive T whose m(T) certificate is ``cert``.
+
+    A matrix returns the certificate's witness, no eigendecomposition needed.
+    """
     threshold = cert.value + epsilon / 2.0
 
     if not op.is_l2:
-        arr = _dense(op)
-        w, u = np.linalg.eigh(0.5 * (arr + arr.conj().T))
-        if not w[0] < threshold - STRICT_MARGIN:
+        if not cert.value < threshold - STRICT_MARGIN:
             raise ValueError("epsilon too small to leave a strict margin")
-        return Vec.from_dense(u[:, 0], dim=arr.shape[0])
+        return cert.witness
 
     bt = block_tail(op)
     if bt.k:
@@ -301,8 +302,7 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
     ok, _ = _positivity(op)
     if ok:
         return _positive_result(op, epsilon, prefix)
-    parts = polar(op)
-    base = minimum_modulus(parts.modulus, prefix=prefix)
+    parts, base = _polar(op, prefix)
     case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)
     if case is PerturbationCase.NULL_DIRECTION_EXISTS:
         s = zero_like(op)  # nothing was composed; keep the honest tag
@@ -331,8 +331,7 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    parts = polar(op)
-    base = minimum_modulus(parts.modulus, prefix=prefix)
+    parts, base = _polar(op, prefix)
     if base.value <= NULL_TOL:
         raise ValueError("bounded_below_perturbation requires m(T) > 0")
     case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)

@@ -251,7 +251,7 @@ def _parse_terms(terms: list) -> list[RankOneTerm]:
     for t in terms:
         coeff = scalar_from_json(t["coeff"])
         if "index" in t:
-            v = Vec.basis(int(t["index"]))
+            v = Vec.basis(t["index"])
             out.append(RankOneTerm(coeff, v, v))
         else:
             out.append(RankOneTerm(coeff, vec_from_json(t["left"]),

@@ -177,10 +177,7 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
     if not op.is_l2:
         arr = _dense(op)
         _, s, vh = np.linalg.svd(arr)
-        value = float(s[-1]) if s.size == arr.shape[1] else 0.0
-        witness = Vec.from_dense(vh[-1].conj(), dim=arr.shape[1])
-        residual = abs(float(np.linalg.norm(arr @ vh[-1].conj())) - value)
-        return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
+        return _matrix_certificate(arr, s, vh)
 
     bt = block_tail(op)
     # per block: the smallest |entry| and the first index holding it
@@ -206,6 +203,14 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
         residual = abs(applied.norm() / witness.norm() - value)
         return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
     return AttainmentCertificate(tail_inf, False, None, None, None)
+
+
+def _matrix_certificate(arr: np.ndarray, s: np.ndarray, vh: np.ndarray) -> AttainmentCertificate:
+    """m(A) of a matrix from the singular values ``s`` and full right factor ``vh`` of A."""
+    value = float(s[-1]) if s.size == arr.shape[1] else 0.0
+    witness = Vec.from_dense(vh[-1].conj(), dim=arr.shape[1])
+    residual = abs(float(np.linalg.norm(arr @ vh[-1].conj())) - value)
+    return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
 
 
 def _basis_index(v: Vec) -> int | None:
@@ -362,6 +367,11 @@ def _phase_vec(a: np.ndarray) -> np.ndarray:
 
 def polar(op: OperatorRep) -> PolarParts:
     """Polar decomposition T = V |T| with V a partial isometry."""
+    return _polar(op, None)[0]
+
+
+def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentCertificate | None]:
+    """polar(T) and, given a prefix, m(|T|); a matrix's is read off the SVD that built |T|."""
     bt = block_tail(op) if op.is_l2 else None
     arr = _dense(op) if bt is None else bt.block
     u, s, vh = np.linalg.svd(arr)
@@ -371,7 +381,12 @@ def polar(op: OperatorRep) -> PolarParts:
         isometry = MatrixOp(u[:, :r] @ vh[:r, :])
     else:
         isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
-    return PolarParts(isometry, _modulus_from_svd(bt, s, vh))
+    parts = PolarParts(isometry, _modulus_from_svd(bt, s, vh))
+    if prefix is None:
+        return parts, None
+    if bt is None:  # |T| = V* diag(s) V, so T's right factor is |T|'s
+        return parts, _matrix_certificate(_dense(parts.modulus), s, vh)
+    return parts, minimum_modulus(parts.modulus, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

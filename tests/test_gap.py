@@ -24,6 +24,7 @@ from minatt.operators import (
 )
 from minatt.gap import (
     GapResult,
+    _closed_form_dense,
     _graph_gap,
     _perturbation_gap,
     defect_resolvent,
@@ -193,6 +194,27 @@ def test_graph_and_closed_form_agree_on_random_pairs(seed):
     assert -1e-12 <= g <= 1.0 + 1e-12
 
 
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_closed_form_kernel_matches_graph_kernel(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    a, b = _rand(rng, rows, cols), _rand(rng, rows, cols)
+    assert abs(_closed_form_dense(a, b) - _graph_gap(a, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("top", [1e2, 1e4, 1e6, 1e8])
+def test_closed_form_on_graded_matrices(top):
+    # S acts where T is smallest; I + T*T squares T's condition number, and
+    # solving with it put the closed form 2.6e-4 off the graph route at 1e8
+    rng = np.random.default_rng(37)
+    n = 32
+    u, v = (np.linalg.qr(_rand(rng, n))[0] for _ in range(2))
+    t = (u * np.logspace(-2, np.log10(top), n)) @ v.conj().T
+    s = 0.05 * np.outer(u[:, 0], v[:, 0].conj())
+    closed = operator_gap_closed_form(MatrixOp(t + s), MatrixOp(t)).value
+    assert abs(closed - operator_gap_graph(MatrixOp(t + s), MatrixOp(t)).value) <= 1e-8
+
+
 def test_gap_triangle_inequality_on_random_triples():
     rng = np.random.default_rng(47)
     for _ in range(100):
@@ -334,6 +356,17 @@ def test_defect_resolvents_of_a_matrix():
                                np.linalg.inv(np.eye(2) + arr.conj().T @ arr), atol=1e-13)
     np.testing.assert_allclose(d.hat.array,
                                np.linalg.inv(np.eye(2) + arr @ arr.conj().T), atol=1e-13)
+
+
+@given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_defect_resolvents_match_inverses(rows, cols, seed):
+    a = _rand(np.random.default_rng(seed), rows, cols)
+    d = defect_resolvent(MatrixOp(a))
+    for got, gram in ((d.check.array, a.conj().T @ a), (d.hat.array, a @ a.conj().T)):
+        expect = np.linalg.inv(np.eye(gram.shape[0]) + gram)
+        assert np.max(np.abs(got - expect)) <= 1e-12
+        assert np.max(np.abs(got - got.conj().T)) <= 1e-14
 
 
 def test_defect_product_norm_is_at_most_half():

@@ -443,6 +443,38 @@ def test_matrix_certificate_forms_no_whole_graph_basis(monkeypatch):
     assert len(s_svds) == 2 and max(s_svds) <= 1
 
 
+def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
+    # polar's SVD of T already holds m(|T|) and its witness, and a positive
+    # T's witness is an eigenvector at its least eigenvalue; counted are svd
+    # calls on n x n operands, numpy.linalg.norm's own included, and all eigh
+    rng = np.random.default_rng(41)
+    n = 64
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    calls = {"svd": 0, "eigh": 0}
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
+
+    def svd_spy(arr, *args, **kwargs):
+        calls["svd"] += np.shape(arr) == (n, n)
+        return real_svd(arr, *args, **kwargs)
+
+    def eigh_spy(arr, *args, **kwargs):
+        calls["eigh"] += 1
+        return real_eigh(arr, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    op = MatrixOp(a)
+    res = attainment_perturbation(op, 0.05)
+    assert res.case is PerturbationCase.POLAR_COMPOSED
+    assert calls["svd"] <= 4 and calls["eigh"] == 0
+    assert verify_perturbation(op, res).passed
+    positive = MatrixOp(a @ a.conj().T / n + 0.5 * np.eye(n))
+    res = attainment_perturbation(positive, 0.05)
+    assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
+    assert calls["eigh"] == 0
+    assert verify_perturbation(positive, res).passed
+
+
 def test_verification_catches_doubled_coefficient():
     op = named_diagonal("one_plus_inv_n")
     res = attainment_perturbation_positive(op, 0.5)

@@ -116,6 +116,18 @@ def test_valid_config_loads():
                                        "terms": [{"coeff": 0.5, "index": "five"}]}),
     lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
                                        "terms": [{"coeff": 0.5, "index": 0}]}),
+    # indices that are not integers, which int() would truncate
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": -0.5, "index": 5.7}]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": -0.5, "index": True}]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop", "terms": [
+        {"coeff": -0.5, "left": {"basis": 5.7}, "right": {"basis": 5}}]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop", "terms": [
+        {"coeff": -0.5, "left": {"entries": [[True, 1.0]]}, "right": {"basis": 1}}]}),
+    lambda d: d["operators"].update(bumped={"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "shift": 0.0, "terms": [
+        {"coeff": 1.0, "left": {"entries": [[2.5, 1.0]]}, "right": {"basis": 2}}]}),
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -369,7 +381,8 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
     loose["experiments"][0]["tolerance"] = "loose"
     assert main(["run", _write_config(tmp_path, loose)]) == 2
     for term in ({"coeff": "abc", "index": 5}, {"coeff": 0.5, "index": "five"},
-                 {"coeff": 0.5, "index": 0}):
+                 {"coeff": 0.5, "index": 0}, {"coeff": -0.5, "index": 5.7},
+                 {"coeff": -0.5, "index": True}):
         malformed = _config_doc()
         malformed["experiments"][-1]["terms"] = [term]
         assert main(["run", _write_config(tmp_path, malformed)]) == 2
