@@ -16,9 +16,10 @@ differ only in their dense kernel:
 * diagonal: the supremum of |t_n - s_n| / sqrt(1+|t_n|^2) / sqrt(1+|s_n|^2),
   the chordal distance of paired diagonal entries on the Riemann sphere.
 
-Matrices go to the kernel whole.  Two l2 operators split as direct sums
-over the union of their supports: the kernel takes the blocks, and the
-diagonal tails are certified once for all routes (see ``_direct_sum``).
+The kernels share no code.  What the routes share on purpose sits in
+``_gap``: matrices go to the kernel whole, two l2 operators split as direct
+sums over the union of their supports so the kernel takes the blocks, and
+the diagonal tails are certified once for all routes.
 Unbounded operators are fine on every l2 route; that is the point of
 using the gap rather than the norm distance.  A perturbation's certificate
 gap(T + S, T) is taken from range(S*) alone (see ``_perturbation_gap``).
@@ -222,14 +223,9 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
     """Gap via orthonormal bases of the graphs { (x, Tx) }.
 
     Matrices are handled exactly; l2 pairs take this kernel on their
-    blocks through ``_direct_sum``.
+    blocks (see ``_gap``).
     """
-    if a.is_l2 or b.is_l2:
-        return _direct_sum(a, b, _graph_gap, "graph", prefix)
-    da, db = _dense(a), _dense(b)
-    if da.shape != db.shape:
-        raise ValueError("graph route needs matrices of identical shape")
-    return GapResult(_graph_gap(da, db), "graph", None, 0.0)
+    return _gap(a, b, "graph", prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -253,33 +249,26 @@ def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
     """Gap from the defect-resolvent formula, no graph bases involved.
 
     Matrices of a common shape are evaluated densely; l2 pairs take this
-    formula on their blocks through ``_direct_sum``.
+    formula on their blocks (see ``_gap``).
     """
-    if s.is_l2 or t.is_l2:
-        return _direct_sum(s, t, _closed_form_dense, "closed_form", prefix)
-    ds, dt = _dense(s), _dense(t)
-    if ds.shape != dt.shape:
-        raise ValueError("closed form needs matrices of identical shape")
-    return GapResult(_closed_form_dense(ds, dt), "closed_form", None, 0.0)
+    return _gap(s, t, "closed_form", prefix)
 
 
 # ---------------------------------------------------------------------------
-# Diagonal route, and the direct-sum split every l2 route shares
+# Diagonal route, and the dispatch every route shares
 # ---------------------------------------------------------------------------
 
 
-class _OffDiagonalBlock(ValueError):
-    """A block the diagonal route refuses."""
+def _is_diagonal(block: np.ndarray) -> bool:
+    """No off-diagonal entry above 1e-12 * max(1, max |block|)."""
+    mags = np.abs(block)
+    scale = max(1.0, float(np.max(mags, initial=0.0)))
+    np.fill_diagonal(mags, 0.0)
+    return float(np.max(mags, initial=0.0)) <= 1e-12 * scale
 
 
 def _diagonal_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Chordal distance of paired diagonal entries; refuses any other blocks."""
-    for block in (a, b):
-        mags = np.abs(block)
-        scale = max(1.0, float(np.max(mags, initial=0.0)))
-        np.fill_diagonal(mags, 0.0)
-        if float(np.max(mags, initial=0.0)) > 1e-12 * scale:
-            raise _OffDiagonalBlock("diagonal route needs diagonally aligned operators")
+    """Supremum of the chordal distances of paired diagonal entries."""
     return float(np.max(_chordal(np.diag(a), np.diag(b)), initial=0.0))
 
 
@@ -294,7 +283,7 @@ def operator_gap_diagonal(s: OperatorRep, t: OperatorRep, *,
     window).  Unbounded entries cost nothing: the chordal distance of a
     divergent pair tends to zero.
     """
-    return _direct_sum(s, t, _diagonal_gap, "diagonal", prefix)
+    return _gap(s, t, "diagonal", prefix)
 
 
 def _ext_points(seq: DiagSeq) -> list[complex | None]:
@@ -374,31 +363,36 @@ def _certify_tail(block_part: float, bs: BlockTail, bt: BlockTail,
     return value, (value - prefix_part) + dev + FLOAT_SLACK
 
 
-def _direct_sum(s: OperatorRep, t: OperatorRep, block_gap, route: str,
-                prefix: int) -> GapResult:
-    """Gap of two l2 operators: ``block_gap`` on their blocks, max the certified tail.
+_KERNELS = {"graph": _graph_gap, "closed_form": _closed_form_dense, "diagonal": _diagonal_gap}
 
-    Both split over the union of their supports, so the graph of each is
-    the direct sum of its block's graph and the tail's 1 x 1 graphs; the
-    gap of direct sums is the larger of the summands' gaps.
+
+def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int | None) -> GapResult:
+    """gap(s, t) by ``route``: "graph", "closed_form", "diagonal" or "auto".
+
+    Matrices of one shape go to the kernel whole, "auto" to the graph one.
+    Two l2 operators split over the union of their supports, so the graph of
+    each is the direct sum of its block's graph and the tail's 1 x 1 graphs;
+    the gap of direct sums is the larger of the summands' gaps.  "auto" takes
+    the diagonal kernel when both blocks are diagonal, the graph one
+    otherwise.  ``prefix`` None skips the tail certificate: the caller knows
+    the l2 tails are entrywise identical.
     """
     if not (s.is_l2 and t.is_l2):
-        raise ValueError(f"{route} route needs l2 operators on a common space")
+        route = "graph" if route == "auto" else route
+        if s.is_l2 or t.is_l2 or route == "diagonal":
+            raise ValueError(f"{route} route needs l2 operators on a common space")
+        ds, dt = _dense(s), _dense(t)
+        if ds.shape != dt.shape:
+            raise ValueError(f"{route} route needs matrices of identical shape")
+        return GapResult(_KERNELS[route](ds, dt), route, None, 0.0)
     bs, bt = _common_support(s, t)
-    value, tail_bound = _certify_tail(block_gap(bs.block, bt.block), bs, bt, prefix)
-    return GapResult(value, route, prefix, tail_bound)
-
-
-def _best_gap(s: OperatorRep, t: OperatorRep, prefix: int | None) -> GapResult:
-    """The diagonal route on l2 pairs with diagonal blocks, the graph route otherwise."""
-    if not (s.is_l2 and t.is_l2):
-        return operator_gap_graph(s, t, prefix=prefix)
-    bs, bt = _common_support(s, t)
-    try:
-        block_part, route = _diagonal_gap(bs.block, bt.block), "diagonal"
-    except _OffDiagonalBlock:
-        block_part, route = _graph_gap(bs.block, bt.block), "graph"
-    if prefix is None:  # the caller knows the l2 tails are entrywise identical
+    if route in ("auto", "diagonal"):
+        aligned = _is_diagonal(bs.block) and _is_diagonal(bt.block)
+        if route == "diagonal" and not aligned:
+            raise ValueError("diagonal route needs diagonally aligned operators")
+        route = "diagonal" if aligned else "graph"
+    block_part = _KERNELS[route](bs.block, bt.block)
+    if prefix is None:
         return GapResult(block_part, route, None, FLOAT_SLACK)
     value, tail_bound = _certify_tail(block_part, bs, bt, prefix)
     return GapResult(value, route, prefix, tail_bound)
@@ -415,7 +409,7 @@ def _perturbation_gap(t: OperatorRep, s: OperatorRep, perturbed: OperatorRep,
     """
     if t.is_l2:  # an S with the constant tail 0 leaves both tails the same
         scan = None if block_tail(s).tail.const_value == 0 else prefix
-        return operator_norm(s, prefix=prefix), _best_gap(perturbed, t, scan)
+        return operator_norm(s, prefix=prefix), _gap(perturbed, t, "auto", scan)
     _, sv, vh = np.linalg.svd(_dense(s), full_matrices=False)
     k = int(np.count_nonzero(sv > RANK_TOL * max(1.0, sv[0])))
     dp, dt = _dense(perturbed), _dense(t)
@@ -442,7 +436,7 @@ def gap_upper_bound_check(s: OperatorRep, t: OperatorRep, *,
     unbounded difference is rejected (UnboundedOperatorError) since the
     inequality has nothing to say then.
     """
-    gap = _best_gap(s, t, prefix)
+    gap = _gap(s, t, "auto", prefix)
     diff = operator_norm(add_operators(s, scale_shift(t, -1.0, 0.0)), prefix=prefix)
     margin = diff.value + diff.tail_slack - gap.value
     return GapBoundReport(gap, diff, margin, margin >= -ROUTE_AGREE_TOL)

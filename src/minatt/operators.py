@@ -142,10 +142,13 @@ class Vec:
             if val != 0:
                 cleaned.append((int(idx), val))
         if self.dim is not None:
+            if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+                raise ValueError(f"dim must be None or an integer, got {self.dim!r}")
             if self.dim < 1:
                 raise ValueError("dim must be >= 1")
             if cleaned and cleaned[-1][0] > self.dim:
                 raise ValueError("entry index exceeds declared dimension")
+            object.__setattr__(self, "dim", int(self.dim))  # numpy integers do not serialise
         object.__setattr__(self, "entries", tuple(cleaned))
 
     @classmethod

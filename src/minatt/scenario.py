@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gap import (
-    _best_gap,
-    operator_gap_closed_form,
-    operator_gap_diagonal,
-    operator_gap_graph,
-)
+from .gap import _gap, operator_gap_closed_form, operator_gap_graph
 from .operators import (
     DEFAULT_PREFIX,
     MatrixOp,
@@ -132,6 +127,13 @@ def _number(value, kind, what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; integral floats such as JSON 1e4 pass, bools and fractions do not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return _number(value, int, what)
+
+
 def _positive(value, what: str) -> float:
     x = _number(value, float, what)
     if not (math.isfinite(x) and x > 0):
@@ -163,7 +165,7 @@ def load_config(doc: dict) -> ScenarioConfig:
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be an object")
-    truncation = _number(defaults.get("truncationN", DEFAULT_PREFIX), int, "defaults.truncationN")
+    truncation = _integer(defaults.get("truncationN", DEFAULT_PREFIX), "defaults.truncationN")
     tolerance = _positive(defaults.get("tolerance", DEFAULT_TOLERANCE), "defaults.tolerance")
     if truncation < 1:
         raise ConfigError("defaults.truncationN must be >= 1")
@@ -191,11 +193,11 @@ def _check_ref(exp: dict, key: str, ctx: str, operators: dict):
 
 
 def _validate_experiment(exp: dict, kind: str, ctx: str, operators: dict):
-    if "truncationN" in exp and _number(exp["truncationN"], int, f"{ctx}: truncationN") < 1:
+    if "truncationN" in exp and _integer(exp["truncationN"], f"{ctx}: truncationN") < 1:
         raise ConfigError(f"{ctx}: truncationN must be >= 1")
     if "tolerance" in exp:
         _positive(exp["tolerance"], f"{ctx}: tolerance")
-    if "seed" in exp and _number(exp["seed"], int, f"{ctx}: seed") < 0:
+    if "seed" in exp and _integer(exp["seed"], f"{ctx}: seed") < 0:
         raise ConfigError(f"{ctx}: seed must be >= 0")
     expect = exp.get("expect")
     if expect is not None:
@@ -211,12 +213,12 @@ def _validate_experiment(exp: dict, kind: str, ctx: str, operators: dict):
             raise ConfigError(f"{ctx}: unknown variant {exp.get('variant')!r}")
     elif kind == "gap":
         if "randomPairs" in exp:
-            if _number(exp["randomPairs"], int, f"{ctx}: randomPairs") < 1:
+            if _integer(exp["randomPairs"], f"{ctx}: randomPairs") < 1:
                 raise ConfigError(f"{ctx}: randomPairs must be >= 1")
             dims = exp.get("dims", [1, 8])
             if not (isinstance(dims, list) and len(dims) == 2
-                    and 1 <= _number(dims[0], int, f"{ctx}: dims")
-                    <= _number(dims[1], int, f"{ctx}: dims")):
+                    and 1 <= _integer(dims[0], f"{ctx}: dims")
+                    <= _integer(dims[1], f"{ctx}: dims")):
                 raise ConfigError(f"{ctx}: dims must be [lo, hi] with 1 <= lo <= hi")
         else:
             _check_ref(exp, "left", ctx, operators)
@@ -286,14 +288,7 @@ def _run_gap_pair(exp: dict, config: ScenarioConfig, prefix: int,
         detail = {"graph": graph.to_json_dict(), "closedForm": closed.to_json_dict(),
                   "routeDeviation": deviation}
         return graph.value, deviation <= tolerance, detail
-    if route == "auto":
-        res = _best_gap(left, right, prefix)
-    elif route == "graph":
-        res = operator_gap_graph(left, right, prefix=prefix)
-    elif route == "closed_form":
-        res = operator_gap_closed_form(left, right, prefix=prefix)
-    else:
-        res = operator_gap_diagonal(left, right, prefix=prefix)
+    res = _gap(left, right, route, prefix)
     return res.value, True, {res.route: res.to_json_dict()}
 
 

@@ -25,6 +25,7 @@ from minatt.operators import (
 from minatt.gap import (
     GapResult,
     _closed_form_dense,
+    _gap,
     _graph_gap,
     _perturbation_gap,
     defect_resolvent,
@@ -328,6 +329,33 @@ def test_diagonal_route_needs_aligned_entries():
         operator_gap_diagonal(off, named_diagonal("inv_n"))
     with pytest.raises(ValueError):
         operator_gap_diagonal(MatrixOp(np.eye(2)), named_diagonal("inv_n"))
+    with pytest.raises(ValueError):
+        operator_gap_diagonal(MatrixOp(np.eye(2)), MatrixOp(np.eye(2)))
+
+
+def test_pairs_at_infinity_are_a_full_gap():
+    # diag(n) runs to infinity while diag(1/n) runs to 0, whose chordal distance is 1
+    linear, vanish = named_diagonal("linear_n"), named_diagonal("inv_n")
+    for route in (operator_gap_diagonal, operator_gap_graph):
+        for s, t in ((linear, vanish), (vanish, linear)):
+            r = route(s, t)
+            assert r.value == 1.0
+            assert r.tail_bound == 1e-12
+
+
+def test_auto_gap_takes_the_graph_kernel_on_matrices():
+    a, b = MatrixOp(np.eye(2)), MatrixOp(np.zeros((2, 2)))
+    r = _gap(a, b, "auto", None)
+    assert r.route == "graph" and r.truncation is None
+    assert r.value == operator_gap_graph(a, b).value
+
+
+@pytest.mark.parametrize("route", ["auto", "graph", "closed_form", "diagonal"])
+def test_gap_refuses_mixed_pairs(route):
+    with pytest.raises(ValueError):
+        _gap(MatrixOp(np.eye(2)), named_diagonal("inv_n"), route, DEFAULT_PREFIX)
+    with pytest.raises(ValueError):
+        _gap(named_diagonal("inv_n"), MatrixOp(np.eye(2)), route, DEFAULT_PREFIX)
 
 
 def test_graph_truncations_see_exactly_the_scanned_prefix():

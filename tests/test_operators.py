@@ -1,6 +1,7 @@
 """Vectors, declared-tail sequences and the representable operator algebra."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from minatt.operators import (
     shared_root,
     tail_diverges,
     truncate,
+    vec_from_json,
     zero_like,
     zip_seqs,
 )
@@ -82,6 +84,15 @@ def test_vec_drops_zero_entries():
 def test_vec_dim_must_cover_support():
     with pytest.raises(ValueError):
         Vec(((3, 1.0),), dim=2)
+
+
+@pytest.mark.parametrize("doc", [{"basis": 2, "dim": 3.5}, {"basis": 1, "dim": True},
+                                 {"entries": [[1, 1.0]], "dim": "3"}])
+def test_vec_dim_must_be_an_integer(doc):
+    with pytest.raises(ValueError):
+        vec_from_json(doc)
+    dim = Vec.basis(2, dim=np.int64(3)).dim
+    assert dim == 3 and type(dim) is int
 
 
 def test_vec_norm_and_inner():
@@ -476,6 +487,14 @@ def test_scale_shift_matches_dense_arithmetic():
                                atol=1e-14)
 
 
+def test_scale_shift_of_a_matrix():
+    a = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    np.testing.assert_array_equal(scale_shift(MatrixOp(a), 2.0, 0.5).array,
+                                  2.0 * a + 0.5 * np.eye(2))
+    with pytest.raises(ValueError):
+        scale_shift(MatrixOp(np.ones((2, 3))), 1.0, 0.5)
+
+
 def test_add_rank_one_keeps_flat_structure():
     op = named_diagonal("inv_n")
     once = add_rank_one(op, RankOneTerm(1.0, Vec.basis(1), Vec.basis(1)))
@@ -638,6 +657,20 @@ def test_diagonal_json_round_trip():
     back = operator_from_json(operator_to_json(op))
     np.testing.assert_array_equal(back.seq.values(5), op.seq.values(5))
     assert back.seq.tail == op.seq.tail
+
+
+@pytest.mark.parametrize("name, tail", [
+    ("alternating01", Periodic((0.0, 1.0))),
+    ("alternating01", FiniteRange((0.0, 1.0))),
+    ("linear_n", DeclaredAccumulation((), True)),
+])
+def test_tail_json_round_trip(name, tail):
+    op = DiagonalOp(replace(named_diagonal(name).seq, tail=tail))
+    doc = operator_to_json(op)
+    back = operator_from_json(doc)
+    assert back.seq.tail == tail
+    assert operator_to_json(back) == doc
+    np.testing.assert_array_equal(back.seq.values(6), op.seq.values(6))
 
 
 def test_sum_json_round_trip_preserves_action():

@@ -74,6 +74,36 @@ def test_near_minimizer_takes_matrix_eigenvector():
     np.testing.assert_allclose(np.abs(x.dense(2)), [1.0, 0.0], atol=1e-14)
 
 
+def test_near_minimizer_takes_a_basis_block_eigenvector():
+    # diag(1 + 1/n) - 0.5 <., e5> e5 has the 1 x 1 block 0.7 on e5, below every tail entry
+    op = add_rank_one(named_diagonal("one_plus_inv_n"),
+                      RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5)))
+    assert near_minimizer(op, 0.1) == Vec.basis(5)
+    res = attainment_perturbation(op, 0.1)
+    assert res.to_json_dict()["caseTag"] == "Case1"
+    assert res.witness.witness.entries[0][0] == 5
+    assert abs(res.witness.value - 0.6) < 1e-12
+    assert res.gap_route == "diagonal"
+    assert verify_perturbation(op, res).passed
+
+
+def test_near_minimizer_takes_a_coupled_block_eigenvector():
+    # -1.5 <., u> u with u = (e1 + e2)/sqrt(2) leaves the block [[1.25, -0.75], [-0.75, 0.75]],
+    # whose least eigenvalue 1 - sqrt(0.625) has an eigenvector on no basis index
+    u = Vec(((1, math.sqrt(0.5)), (2, math.sqrt(0.5))), None)
+    op = add_rank_one(named_diagonal("one_plus_inv_n"), RankOneTerm(-1.5, u, u))
+    least = 1.0 - math.sqrt(0.625)
+    kernel = np.array([0.75, 1.25 - least])  # spans the kernel of block - least
+    x = near_minimizer(op, 0.1)
+    assert len(x.entries) == 2
+    np.testing.assert_allclose(np.abs(x.dense(2)), kernel / np.linalg.norm(kernel), atol=1e-12)
+    res = attainment_perturbation(op, 0.1)
+    assert abs(res.witness.value - (least - 0.1)) < 1e-12
+    assert abs(res.witness.value - 0.1094306) < 1e-7
+    assert res.gap_route == "graph"
+    assert verify_perturbation(op, res).passed
+
+
 def test_near_minimizer_requires_positive_input():
     with pytest.raises(ValueError):
         near_minimizer(scale_shift(named_diagonal("one_plus_inv_n"), -1.0, 0.0), 0.5)

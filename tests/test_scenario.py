@@ -8,6 +8,7 @@ import math
 import pytest
 
 from minatt.cli import main
+from minatt.gap import operator_gap_closed_form, operator_gap_diagonal, operator_gap_graph
 from minatt.scenario import (
     ConfigError,
     load_config,
@@ -45,6 +46,28 @@ def _config_doc():
 # ---------------------------------------------------------------------------
 # Config validation
 # ---------------------------------------------------------------------------
+
+# integer fields that int() would truncate or take from a bool
+_NOT_INTEGERS = [
+    lambda d: d["defaults"].update(truncationN=1000.7),
+    lambda d: d["defaults"].update(truncationN=True),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "truncationN": 1000.7}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "truncationN": True}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 2.5}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "seed": True}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "dims": [1.5, 3]}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "dims": [1, 3.5]}),
+    # vector dimensions that are not integers
+    lambda d: d["operators"].update(bumped=_sum_term({"basis": 2, "dim": 3.5})),
+    lambda d: d["operators"].update(bumped=_sum_term({"basis": 1, "dim": True})),
+]
+
+
+def _sum_term(vec):
+    return {"variant": "sum", "base": {"variant": "diagonal", "generator": "inv_n"},
+            "shift": 0.0, "terms": [{"coeff": 1.0, "left": vec, "right": vec}]}
 
 
 def test_valid_config_loads():
@@ -128,12 +151,28 @@ def test_valid_config_loads():
     lambda d: d["operators"].update(bumped={"variant": "sum", "base": {
         "variant": "diagonal", "generator": "inv_n"}, "shift": 0.0, "terms": [
         {"coeff": 1.0, "left": {"entries": [[2.5, 1.0]]}, "right": {"basis": 2}}]}),
+    *_NOT_INTEGERS,
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
     mutate(doc)
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+def test_integral_floats_are_integers():
+    doc = _config_doc()
+    doc["defaults"]["truncationN"] = 1e4
+    doc["experiments"] = [
+        {"kind": "gap", "name": "soak", "randomPairs": 2.0, "dims": [1.0, 3.0], "seed": 3.0},
+        {"kind": "gap", "name": "diag", "left": "parity", "right": "parity",
+         "route": "diagonal"},
+    ]
+    config = load_config(doc)
+    assert config.default_truncation == 10_000
+    soak, diag = run_scenario(config).records
+    assert soak.passed and soak.detail["pairs"] == 2 and soak.detail["seed"] == 3
+    assert diag.detail["diagonal"]["truncationN"] == 10_000
 
 
 def test_config_must_be_an_object():
@@ -261,6 +300,27 @@ def test_l2_graph_route_at_the_default_prefix_matches_the_diagonal_route():
     assert graph.detail["graph"]["tailBound"] is not None
 
 
+@pytest.mark.parametrize("right, route, label, direct", [
+    ("vanish", "auto", "diagonal", operator_gap_diagonal),
+    ("coupled", "auto", "graph", operator_gap_graph),
+    ("coupled", "closed_form", "closed_form", operator_gap_closed_form),
+])
+def test_l2_gap_routes_through_the_runner(right, route, label, direct):
+    doc = _config_doc()
+    doc["operators"]["coupled"] = {"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "shift": 0.0, "terms": [
+        {"coeff": 0.5, "left": {"basis": 1}, "right": {"basis": 2}}]}
+    doc["experiments"] = [{"kind": "gap", "name": "pair", "left": "drop", "right": right,
+                           "route": route, "truncationN": 500}]
+    config = load_config(doc)
+    (rec,) = run_scenario(config).records
+    assert rec.passed and list(rec.detail) == [label]
+    assert rec.detail[label]["truncationN"] == 500
+    expect = direct(config.operators["drop"], config.operators[right], prefix=500)
+    assert rec.detail[label] == expect.to_json_dict()
+    assert rec.value == expect.value
+
+
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
@@ -386,6 +446,10 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
         malformed = _config_doc()
         malformed["experiments"][-1]["terms"] = [term]
         assert main(["run", _write_config(tmp_path, malformed)]) == 2
+    for mutate in _NOT_INTEGERS:
+        truncating = _config_doc()
+        mutate(truncating)
+        assert main(["run", _write_config(tmp_path, truncating)]) == 2
 
 
 def test_cli_exit_three_when_report_unwritable(tmp_path, capsys):
