@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -120,7 +121,10 @@ def _require(obj: dict, key: str, ctx: str):
 
 
 def _number(value, kind, what: str):
-    """``kind(value)``; a value that does not convert is a ConfigError."""
+    """``kind(value)`` of a number; a string, a bool or a value that does not convert is a
+    ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -128,10 +132,11 @@ def _number(value, kind, what: str):
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; integral floats such as JSON 1e4 pass, bools and fractions do not."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; integral floats such as JSON 1e4 pass, fractions do not."""
+    x = _number(value, int, what)
+    if x != value:
         raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return _number(value, int, what)
+    return x
 
 
 def _positive(value, what: str) -> float:

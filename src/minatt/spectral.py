@@ -28,6 +28,7 @@ from .operators import (
     NotRepresentableError,
     OperatorRep,
     Vec,
+    _common_support,
     accumulation_points,
     add_rank_one,
     block_tail,
@@ -68,6 +69,7 @@ SAMPLE = 4096
 # when at least MIN_CLUSTER eigenvalues land within +-DETECT_WINDOW of it.
 DETECT_WINDOW = 2.5e-4
 MIN_CLUSTER = 25
+_COUNT_CHUNK = 1 << 14  # sorted values per chunk in _window_counts
 
 
 @dataclass(frozen=True)
@@ -408,14 +410,18 @@ def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
     if not op.is_l2:
         return np.linalg.eigvalsh(_dense(op))
     bt = block_tail(op)
-    inside = int(np.searchsorted(bt.support, n, side="right"))
-    eigs = np.empty(bt.k + n - inside)
-    eigs[:bt.k] = np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T))
-    at = bt.k
+    return _with_tail(np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T)), bt, n)
+
+
+def _with_tail(head: np.ndarray, bt: BlockTail, n: int) -> np.ndarray:
+    """``head`` followed by the real tail entries at 1..n off ``bt``'s support."""
+    out = np.empty(head.size + n - int(np.searchsorted(bt.support, n, side="right")))
+    out[:head.size] = head
+    at = head.size
     for _, vals in bt.tail_blocks(n):
-        eigs[at:at + vals.size] = vals.real
+        out[at:at + vals.size] = vals.real
         at += vals.size
-    return eigs
+    return out
 
 
 def _sorted_eigs(op: OperatorRep, n: int) -> np.ndarray:
@@ -442,14 +448,21 @@ def _cluster(v: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return means, counts, v[ends - 1] - v[starts]
 
 
+def _declared(op: OperatorRep) -> tuple[tuple[float, ...], bool]:
+    """The declared essential set, sorted, and whether the tail diverges (neither for matrices)."""
+    if not op.is_l2:
+        return (), False
+    tail = block_tail(op).tail.tail
+    return tuple(sorted(p.real for p in accumulation_points(tail))), tail_diverges(tail)
+
+
 def _spectrum_report(op: OperatorRep, eigs: np.ndarray, prefix: int) -> SpectrumReport:
     if not op.is_l2:
         scale = max(1.0, float(np.max(np.abs(eigs))) if eigs.size else 0.0)
         means, counts, _ = _cluster(eigs, MULTIPLICITY_TOL * scale)
         return SpectrumReport((), False, tuple(zip(means.tolist(), counts.tolist())), eigs.size)
 
-    tail = block_tail(op).tail.tail
-    essential = tuple(sorted(p.real for p in accumulation_points(tail)))
+    essential, unbounded = _declared(op)
     means, counts, widths = _cluster(eigs, MULTIPLICITY_TOL)
     keep = ~(widths > MULTIPLICITY_TOL * np.fmax(1.0, np.abs(means)))
     for e in essential:
@@ -458,7 +471,7 @@ def _spectrum_report(op: OperatorRep, eigs: np.ndarray, prefix: int) -> Spectrum
     keep[1:] &= ~crowded
     keep[:-1] &= ~crowded
     discrete = tuple(zip(means[keep].tolist(), counts[keep].tolist()))
-    return SpectrumReport(essential, tail_diverges(tail), discrete, prefix)
+    return SpectrumReport(essential, unbounded, discrete, prefix)
 
 
 def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> SpectrumReport:
@@ -475,6 +488,20 @@ def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Spec
     return _spectrum_report(op, _sorted_eigs(op, prefix), prefix)
 
 
+def _window_counts(v: np.ndarray, w: float) -> np.ndarray:
+    """``searchsorted(v, v + w, "right") - searchsorted(v, v - w, "left")`` for sorted ``v``,
+    chunk by chunk: the keys are sorted, so a chunk's keys are searched for only in the
+    slice of ``v`` between its first and its last key, and no key array spans ``v``."""
+    counts = np.empty(v.size, dtype=np.intp)
+    for lo in range(0, v.size, _COUNT_CHUNK):
+        chunk, found = v[lo:lo + _COUNT_CHUNK], []
+        for keys, side in ((chunk + w, "right"), (chunk - w, "left")):
+            first, last = np.searchsorted(v, keys[[0, -1]], side=side)
+            found.append(first + np.searchsorted(v[first:last], keys, side=side))
+        counts[lo:lo + chunk.size] = found[0] - found[1]
+    return counts
+
+
 def _detect_accumulation(v: np.ndarray) -> tuple[float, ...]:
     """Accumulation candidates from sorted raw eigenvalues, no declarations used.
 
@@ -482,8 +509,7 @@ def _detect_accumulation(v: np.ndarray) -> tuple[float, ...]:
     +-DETECT_WINDOW; each run of flagged values contributes its densest
     value, the lowest one on a tie.
     """
-    counts = np.searchsorted(v, v + DETECT_WINDOW, side="right")
-    counts -= np.searchsorted(v, v - DETECT_WINDOW, side="left")
+    counts = _window_counts(v, DETECT_WINDOW)
     flagged = np.flatnonzero(counts >= MIN_CLUSTER)
     starts, ends = _runs(v[flagged], DETECT_WINDOW)
     if starts.size == 0:
@@ -495,11 +521,26 @@ def _detect_accumulation(v: np.ndarray) -> tuple[float, ...]:
     return tuple(v[flagged[hits[np.searchsorted(hits, starts)]]].tolist())
 
 
-def _report_and_detected(op: OperatorRep, prefix: int) -> tuple[SpectrumReport, tuple[float, ...]]:
-    # one sorted eigenvalue array serves both; it is dropped on return
-    _require_self_adjoint(op)
-    eigs = _sorted_eigs(op, prefix)
-    return _spectrum_report(op, eigs, prefix), _detect_accumulation(eigs)
+def _detected_both(op: OperatorRep, perturbed: OperatorRep, n: int) -> list[tuple[float, ...]]:
+    """``_detect_accumulation`` of each side's sorted n-truncation eigenvalues.  Off the union
+    of their supports the sides share a tail, evaluated and sorted once; each side merges in its
+    own values (block eigenvalues, tail entries on the rest of the union), then takes them out."""
+    if not op.is_l2:
+        return [_detect_accumulation(_sorted_eigs(side, n)) for side in (op, perturbed)]
+    shared = _common_support(op, perturbed)[0]
+    eigs = _with_tail(np.zeros(0), shared, n)
+    eigs.sort()
+    detected = []
+    for side in (op, perturbed):
+        support = block_tail(side).support
+        rest = np.array([i for i in shared.support if i <= n and i not in support], dtype=np.int64)
+        # n = 0: the side's block eigenvalues alone
+        own = np.sort(np.concatenate((_truncation_eigs(side, 0), shared.tail.values_at(rest).real)))
+        at = np.searchsorted(eigs, own)
+        eigs = np.insert(eigs, at, own)  # rebinding drops the tail: one N-long array at a time
+        detected.append(_detect_accumulation(eigs))
+        eigs = np.delete(eigs, at + np.arange(own.size))
+    return detected
 
 
 def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX) -> WeylReport:
@@ -508,21 +549,20 @@ def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX) -> WeylR
     Besides comparing the declared essential sets before and after, the
     report re-detects accumulation points from raw truncation eigenvalues
     on both sides and checks the declared points are recovered to within
-    ``MATCH_TOL`` (vacuous when the essential set is empty).  Each side
-    evaluates its prefix once, one side after the other.
+    ``MATCH_TOL`` (vacuous when the essential set is empty).  An l2 prefix
+    is evaluated and sorted once for both sides, and nothing is clustered.
     """
     perturbed = op
     for t in terms:
         perturbed = add_rank_one(perturbed, t)
-    before, det_before = _report_and_detected(op, prefix)
-    after, det_after = _report_and_detected(perturbed, prefix)
-    agree = (len(before.essential) == len(after.essential)
-             and all(abs(a - b) <= 1e-9 for a, b in zip(before.essential, after.essential))
-             and before.essential_unbounded == after.essential_unbounded)
-    def covered(declared, detected):
-        return all(any(abs(d - p) <= MATCH_TOL for d in detected) for p in declared)
-    detected_match = covered(before.essential, det_before) and \
-        covered(after.essential, det_after)
-    return WeylReport(before.essential, after.essential,
-                      before.essential_unbounded, after.essential_unbounded,
+    _require_self_adjoint(op)
+    _require_self_adjoint(perturbed)
+    (ess_before, unb_before), (ess_after, unb_after) = _declared(op), _declared(perturbed)
+    det_before, det_after = _detected_both(op, perturbed, prefix)
+    agree = (len(ess_before) == len(ess_after)
+             and all(abs(a - b) <= 1e-9 for a, b in zip(ess_before, ess_after))
+             and unb_before == unb_after)
+    detected_match = all(any(abs(d - p) <= MATCH_TOL for d in det) for ess, det in
+                         ((ess_before, det_before), (ess_after, det_after)) for p in ess)
+    return WeylReport(ess_before, ess_after, unb_before, unb_after,
                       agree, det_before, det_after, detected_match, prefix)

@@ -64,6 +64,25 @@ _NOT_INTEGERS = [
     lambda d: d["operators"].update(bumped=_sum_term({"basis": 1, "dim": True})),
 ]
 
+# numbers written as JSON strings, which float() and int() would convert
+_NUMERIC_STRINGS = [
+    lambda d: d["defaults"].update(truncationN="2000"),
+    lambda d: d["defaults"].update(tolerance="1e-8"),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "truncationN": "2000"}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "tolerance": "1e-8"}),
+    lambda d: d["experiments"].append({"kind": "perturb", "target": "drop",
+                                       "epsilon": "0.5"}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": "3"}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "seed": "4"}),
+    lambda d: d["experiments"].append({"kind": "gap", "randomPairs": 3, "dims": ["1", "3"]}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "expect": {"value": "1.0"}}),
+    lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                       "expect": {"value": 1.0, "tolerance": "1e-9"}}),
+]
+
 
 def _sum_term(vec):
     return {"variant": "sum", "base": {"variant": "diagonal", "generator": "inv_n"},
@@ -152,6 +171,7 @@ def test_valid_config_loads():
         "variant": "diagonal", "generator": "inv_n"}, "shift": 0.0, "terms": [
         {"coeff": 1.0, "left": {"entries": [[2.5, 1.0]]}, "right": {"basis": 2}}]}),
     *_NOT_INTEGERS,
+    *_NUMERIC_STRINGS,
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -446,10 +466,10 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
         malformed = _config_doc()
         malformed["experiments"][-1]["terms"] = [term]
         assert main(["run", _write_config(tmp_path, malformed)]) == 2
-    for mutate in _NOT_INTEGERS:
-        truncating = _config_doc()
-        mutate(truncating)
-        assert main(["run", _write_config(tmp_path, truncating)]) == 2
+    for mutate in _NOT_INTEGERS + _NUMERIC_STRINGS:
+        unusable = _config_doc()
+        mutate(unusable)
+        assert main(["run", _write_config(tmp_path, unusable)]) == 2
 
 
 def test_cli_exit_three_when_report_unwritable(tmp_path, capsys):

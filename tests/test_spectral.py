@@ -1,12 +1,14 @@
 """Minimum modulus, square roots, polar parts and spectral reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from minatt import spectral
 from minatt.operators import (
     DiagSeq,
     DiagonalOp,
@@ -14,18 +16,24 @@ from minatt.operators import (
     RankOneTerm,
     SumOp,
     Vec,
+    add_rank_one,
     block_tail,
+    list_generators,
     named_diagonal,
     scale_shift,
 )
 from minatt.operators import _MAP_BLOCK
 from minatt.spectral import (
     DETECT_WINDOW,
+    MATCH_TOL,
     MIN_CLUSTER,
     MULTIPLICITY_TOL,
     SAMPLE,
+    WeylReport,
     _cluster,
     _detect_accumulation,
+    _sorted_eigs,
+    _window_counts,
     essential_spectrum,
     is_minimum_attaining,
     minimum_modulus,
@@ -343,8 +351,9 @@ def test_weyl_handles_offdiagonal_hermitian_pairs():
 
 
 def test_weyl_check_evaluates_each_prefix_once(monkeypatch):
-    # the prefix is streamed in blocks: each index reaches the generator once
-    # per side, plus once more per side inside the self-adjointness sample
+    # the prefix is streamed in blocks: the two sides share their tail off the
+    # bump's support, so each index reaches the generator once, plus once per
+    # side inside the self-adjointness sample
     n = 150_000
     calls = []
     real = DiagSeq.values_at
@@ -355,8 +364,8 @@ def test_weyl_check_evaluates_each_prefix_once(monkeypatch):
     assert max(ix.size for ix in calls) <= _MAP_BLOCK
     seen = np.bincount(np.concatenate(calls), minlength=n + 1)
     assert seen.size == n + 1
-    assert np.all(seen[SAMPLE + 1:] == 2)
-    assert np.all(np.delete(seen[1:SAMPLE + 1], 5 - 1) == 4)  # e_5 is the bump's support
+    assert np.all(seen[SAMPLE + 1:] == 1)
+    assert np.all(np.delete(seen[1:SAMPLE + 1], 5 - 1) == 3)  # e_5 is the bump's support
 
 
 # Plain-loop references for the run grouping in spectral.py.
@@ -414,3 +423,122 @@ def test_cluster_matches_plain_loop(values, gap):
 def test_detect_accumulation_matches_plain_loop(values):
     v = np.array(values, dtype=float)
     assert repr(_detect_accumulation(np.sort(v))) == repr(_detect_reference(v))
+
+
+# _window_counts against the plain N-key search, with chunk boundaries hit
+_WINDOW_GRID = [0.0, -0.0, math.inf, -math.inf, _W, -_W, 2 * _W, 0.5, 1.0, 1.0 + _W]
+
+
+@given(st.data(), st.sampled_from([1, 2, 3, 5]), st.sampled_from([_W, 0.0, 0.5]))
+def test_window_counts_match_plain_search(data, chunk, w):
+    m = data.draw(st.integers(1, 4))
+    size = data.draw(st.sampled_from([0, 1, chunk * m - 1, chunk * m, chunk * m + 1]))
+    values = data.draw(st.lists(st.one_of(st.sampled_from(_WINDOW_GRID), st.floats(-2.0, 2.0)),
+                                min_size=size, max_size=size))
+    v = np.sort(np.array(values, dtype=float))
+    want = np.searchsorted(v, v + w, side="right") - np.searchsorted(v, v - w, side="left")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_COUNT_CHUNK", chunk)
+        got = _window_counts(v, w)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_window_counts_match_plain_search_across_full_chunks():
+    # dense near 1, sparse above it, and long runs of ties, over 2 chunks and one value
+    chunk = spectral._COUNT_CHUNK
+    v = np.sort(np.concatenate((1.0 + 1.0 / np.arange(1, chunk + 1), np.zeros(chunk // 2),
+                                np.full(chunk // 2, 1.0), [-math.inf])))
+    assert v.size == 2 * chunk + 1
+    want = np.searchsorted(v, v + _W, side="right") - np.searchsorted(v, v - _W, side="left")
+    assert np.array_equal(_window_counts(v, _W), want)
+
+
+# weyl_check against two passes, one per side, each sorting its own prefix
+
+def _weyl_reference(op, terms, prefix):
+    perturbed = op
+    for t in terms:
+        perturbed = add_rank_one(perturbed, t)
+    before = essential_spectrum(op, prefix=prefix)
+    after = essential_spectrum(perturbed, prefix=prefix)
+    det_before = _detect_accumulation(_sorted_eigs(op, prefix))
+    det_after = _detect_accumulation(_sorted_eigs(perturbed, prefix))
+    agree = (len(before.essential) == len(after.essential)
+             and all(abs(a - b) <= 1e-9 for a, b in zip(before.essential, after.essential))
+             and before.essential_unbounded == after.essential_unbounded)
+    covered = all(any(abs(d - p) <= MATCH_TOL for d in det) for rep, det in
+                  ((before, det_before), (after, det_after)) for p in rep.essential)
+    return WeylReport(before.essential, after.essential, before.essential_unbounded,
+                      after.essential_unbounded, agree, det_before, det_after, covered, prefix)
+
+
+_GENERATORS = [g for g in list_generators() if not g.startswith("const:")]
+
+
+@st.composite
+def _hermitian_terms(draw, far):
+    """1 to 3 terms c v v* with real c and unit v on up to 3 coordinates, some past ``far``."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        indices = draw(st.lists(st.one_of(st.integers(1, 40), st.integers(far, far + 40)),
+                                min_size=1, max_size=3, unique=True))
+        vals = np.array(draw(st.lists(st.complex_numbers(max_magnitude=2.0, allow_nan=False),
+                                      min_size=len(indices), max_size=len(indices))))
+        if np.linalg.norm(vals) < 1e-3:
+            vals = np.ones(len(indices))
+        v = Vec(tuple(zip(sorted(indices), (vals / np.linalg.norm(vals)).tolist())), None)
+        terms.append(RankOneTerm(draw(st.floats(-2.0, 2.0)), v, v))
+    return terms
+
+
+@given(st.sampled_from(_GENERATORS), st.one_of(st.none(), st.floats(-2.0, 2.0),
+                                               st.sampled_from([-1.0, 1.0, 0.5])),
+       st.booleans(), st.one_of(st.sampled_from([500, 3000]), st.integers(1, 45),
+                                st.integers(595, 645)), st.data())
+def test_weyl_check_matches_two_pass_reference(name, shift, own_terms, prefix, data):
+    # supports sit below, at and past the prefix
+    op = named_diagonal(name)
+    if shift is not None:
+        op = scale_shift(op, 1.0, shift)
+    if own_terms:
+        for t in data.draw(_hermitian_terms(far=600)):
+            op = add_rank_one(op, t)
+    terms = data.draw(_hermitian_terms(far=600))
+    merged = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_detect_accumulation",
+                   lambda v: merged.append(v.copy()) or _detect_accumulation(v))
+        got = weyl_check(op, terms, prefix=prefix)
+    assert repr(got) == repr(_weyl_reference(op, terms, prefix))
+    perturbed = op
+    for t in terms:
+        perturbed = add_rank_one(perturbed, t)
+    assert len(merged) == 2
+    for v, side in zip(merged, (op, perturbed)):
+        assert np.array_equal(v, _sorted_eigs(side, prefix))
+
+
+def test_weyl_check_matches_two_pass_reference_on_a_matrix():
+    # two clusters of 30 eigenvalues, both flagged on each side
+    a = np.random.default_rng(3).standard_normal((60, 60))
+    op = MatrixOp(np.diag(np.repeat([0.0, 1.0], 30)) + 1e-6 * (a + a.T))
+    terms = [RankOneTerm(0.7, Vec.basis(3, dim=60), Vec.basis(3, dim=60))]
+    rep = weyl_check(op, terms)
+    assert len(rep.detected_before) == len(rep.detected_after) == 2
+    assert repr(rep) == repr(_weyl_reference(op, terms, 10_000))
+
+
+def test_weyl_check_holds_one_eigenvalue_array_at_a_time():
+    # two passes, one per side, peaked at 5.2 x 8N bytes at N = 2e5: detection
+    # dominates, and holding the before and the after side at once would add 8N
+    n = 200_000
+    op = named_diagonal("one_plus_inv_n")
+    terms = [RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5))]
+    weyl_check(op, terms, prefix=1000)
+    tracemalloc.start()
+    try:
+        weyl_check(op, terms, prefix=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.2 * 8 * n
