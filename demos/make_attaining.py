@@ -18,13 +18,17 @@ from minatt import (
 
 
 def show(title, op, res, verification):
-    w = res.witness
+    # the result holds the construction's predictions, the verification
+    # the numbers certified from T and S alone
+    w = verification.attainment
     print(f"--- {title}")
     print(f"    case tag        {res.case.value}")
-    print(f"    ||S||           {res.norm_s.value:.12g}  (budget {res.epsilon})")
+    print(f"    ||S||           {verification.norm_value:.12g}  (budget {res.epsilon})")
     where = f"index {w.witness_index}" if w.witness_index is not None else "a non-basis vector"
-    print(f"    m(T+S)          {w.value:.12g}  attained at {where}")
-    print(f"    gap(T+S, T)     <= {res.gap_bound:.12g}  via {res.gap_route}")
+    print(f"    m(T+S)          {w.value:.12g}  attained at {where}"
+          f"  (predicted {res.witness.value:.12g})")
+    print(f"    gap(T+S, T)     {verification.gap_value:.12g}  via {verification.gap_route}"
+          f"  (predicted bound {res.gap_bound:.12g})")
     print(f"    verified        {verification.passed}")
     print()
 

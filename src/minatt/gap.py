@@ -34,7 +34,6 @@ import numpy as np
 
 from .operators import (
     DEFAULT_PREFIX,
-    RANK_TOL,
     BlockTail,
     DiagSeq,
     MatrixOp,
@@ -50,8 +49,8 @@ from .operators import (
     shared_root,
     tail_diverges,
 )
-from .operators import (_chordal, _chordal_to_infinity, _chordal_window_dev, _common_support,
-                        _dense, _spectral_norm)
+from .operators import (_adjoint_range, _chordal, _chordal_to_infinity, _chordal_window_dev,
+                        _common_support, _dense, _spectral_norm)
 
 __all__ = [
     "GapResult",
@@ -404,22 +403,23 @@ def _perturbation_gap(t: OperatorRep, s: OperatorRep, perturbed: OperatorRep,
 
     Both graphs contain W = {(x, Tx) : Sx = 0}, so the gap is that of W's
     complements (Kato IV §2), spanned by (Y, TY) for Y = (I + T*T)^(-1) R and
-    likewise for T + S, R an orthonormal basis of range(S*).  I + T*T squares
-    T's condition number, so a matrix too large for it compares whole graphs.
+    likewise for T + S, R an orthonormal basis of range(S*) (``_adjoint_range``).
+    I + T*T squares T's condition number, so a matrix too large for it
+    compares whole graphs.
     """
-    if t.is_l2:  # an S with the constant tail 0 leaves both tails the same
-        scan = None if block_tail(s).tail.const_value == 0 else prefix
-        return operator_norm(s, prefix=prefix), _gap(perturbed, t, "auto", scan)
-    _, sv, vh = np.linalg.svd(_dense(s), full_matrices=False)
-    k = int(np.count_nonzero(sv > RANK_TOL * max(1.0, sv[0])))
+    factors = _adjoint_range(s)
+    if t.is_l2:  # an S of finite rank has the tail 0, which leaves both tails the same
+        norm_s = factors[0] if factors else operator_norm(s, prefix=prefix)
+        return norm_s, _gap(perturbed, t, "auto", None if factors else prefix)
+    norm_s, basis = factors
     dp, dt = _dense(perturbed), _dense(t)
     if np.finfo(float).eps * max(np.linalg.norm(dp), np.linalg.norm(dt)) ** 2 > ROUTE_AGREE_TOL:
-        return NormBound(float(sv[0])), GapResult(_graph_gap(dp, dt), "graph", None, 0.0)
-    bases = []  # empty when k = 0, and equal empty bases give exactly 0
+        return norm_s, GapResult(_graph_gap(dp, dt), "graph", None, 0.0)
+    bases = []  # empty when R is, and equal empty bases give exactly 0
     for m in (dp, dt):
-        y = np.linalg.solve(np.eye(m.shape[1]) + m.conj().T @ m, vh[:k].conj().T)
+        y = np.linalg.solve(np.eye(m.shape[1]) + m.conj().T @ m, basis)
         bases.append(np.linalg.qr(np.vstack([y, m @ y]))[0])
-    return NormBound(float(sv[0])), GapResult(_basis_gap(*bases), "graph", None, 0.0)
+    return norm_s, GapResult(_basis_gap(*bases), "graph", None, 0.0)
 
 
 # ---------------------------------------------------------------------------

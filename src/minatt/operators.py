@@ -671,9 +671,8 @@ class SumOp(OperatorRep):
         if isinstance(self.base, MatrixOp):
             if self.shift != 0 and self.base.rows != self.base.cols:
                 raise ValueError("shift requires a square matrix base")
-            n = self.base.cols
             for t in self.terms:
-                if t.max_support > n:
+                if t.left.max_index > self.base.cols or t.right.max_index > self.base.rows:
                     raise ValueError("rank-one support exceeds matrix base dimension")
 
     @property
@@ -841,9 +840,9 @@ def _dense(op: OperatorRep) -> np.ndarray:
         arr = np.array(op.base.array)
         if op.shift != 0:
             arr = arr + op.shift * np.eye(arr.shape[0])
-        n = arr.shape[1]
+        rows, cols = arr.shape  # right vectors live in C^rows, left ones in C^cols
         for t in op.terms:
-            arr = arr + t.dense(n)
+            arr = arr + t.coeff * np.outer(t.right.dense(rows), t.left.dense(cols).conj())
         return arr
     raise NotRepresentableError("operator has no finite dense form")
 
@@ -919,15 +918,30 @@ def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTai
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:
     """The composition a(b(x)), kept inside the representable class.
 
-    For l2 operands both split over the union of their supports, so blocks
-    multiply densely and tails multiply entrywise.  A divergent root sequence needs
-    ``at_infinity`` to say where the product of the two tails heads
-    (a scalar or the string ``"diverges"``); bounded roots need nothing.
+    A matrix times a zero matrix plus rank-one terms maps each term and
+    stays in that form.  For l2 operands both split over the union of their
+    supports, so blocks multiply densely and tails multiply entrywise.  A
+    divergent root sequence needs ``at_infinity`` to say where the product
+    of the two tails heads (a scalar or the string ``"diverges"``); bounded
+    roots need nothing.
     """
     if a.is_l2 != b.is_l2:
         raise ValueError("cannot compose operators on different ambient spaces")
     if not a.is_l2:
-        da, db = _dense(a), _dense(b)
+        da = _dense(a)
+        if isinstance(b, SumOp) and b.shift == 0 and not b.base.array.any():
+            # a (c <., x> y) = c ||a y|| <., x> (a y / ||a y||), so the terms stay
+            # rank-one terms; a term that a annihilates drops out
+            if da.shape[1] != b.base.rows:
+                raise ValueError("shape mismatch in composition")
+            terms = []
+            for t in b.terms:
+                ay = da @ t.right.dense(b.base.rows)
+                size = float(np.linalg.norm(ay))
+                if size > 0:
+                    terms.append(RankOneTerm(t.coeff * size, t.left, Vec.from_dense(ay / size)))
+            return SumOp(MatrixOp(np.zeros((da.shape[0], b.base.cols))), 0j, tuple(terms))
+        db = _dense(b)
         if da.shape[1] != db.shape[0]:
             raise ValueError("shape mismatch in composition")
         return MatrixOp(da @ db)
@@ -1012,6 +1026,41 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     value = max(_spectral_norm(bt.block), float(top), acc_sup)
     slack = max(0.0, acc_sup + float(dev) - value)
     return NormBound(value, slack)
+
+
+def _adjoint_range(s: OperatorRep) -> tuple[NormBound, np.ndarray] | None:
+    """||S|| and an orthonormal basis R of range(S*), None when that range is not finite.
+
+    S = sum a_i y_i x_i* over a zero base (no shift) is read off its terms:
+    with X = Q_x R_x and Y = Q_y R_y from k-column QRs, S = Q_y C Q_x* for the
+    k x k core C = R_y diag(a) R_x*, so ||S|| = ||C|| and R is Q_x times C's
+    right singular vectors.  Any other matrix takes one SVD; any other l2 S
+    has no finite range.  R keeps the directions with sigma > RANK_TOL *
+    max(1, sigma_1); on l2 its rows are the sorted coordinates the terms touch.
+    """
+    base, shift, terms = (s.base, s.shift, s.terms) if isinstance(s, SumOp) else (s, 0, ())
+    if shift != 0 or (base.seq.const_value != 0 if s.is_l2 else base.array.any()):
+        if s.is_l2:
+            return None
+        _, sv, vh = np.linalg.svd(_dense(s), full_matrices=False)
+    elif not terms:
+        return NormBound(0.0), np.zeros((0 if s.is_l2 else base.cols, 0))
+    else:
+        if s.is_l2:
+            support = sorted(_term_support(s))
+            rows = cols = None
+
+            def col(v: Vec, _) -> np.ndarray:
+                entries = dict(v.entries)
+                return np.array([entries.get(i, 0j) for i in support])
+        else:
+            (rows, cols), col = base.array.shape, Vec.dense
+        qx, rx = np.linalg.qr(np.column_stack([col(t.left, cols) for t in terms]))
+        ry = np.linalg.qr(np.column_stack([col(t.right, rows) for t in terms]), mode="r")
+        _, sv, wh = np.linalg.svd((ry * np.array([t.coeff for t in terms])) @ rx.conj().T)
+        vh = wh @ qx.conj().T
+    k = int(np.count_nonzero(sv > RANK_TOL * max(1.0, sv[0])))
+    return NormBound(float(sv[0])), vh[:k].conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -1,36 +1,38 @@
 """Small perturbations that force the minimum modulus to be attained.
 
 Given a representable closed operator T and a budget epsilon, construct S
-with ||S|| <= epsilon such that T + S attains its minimum modulus, and
-certify three things independently of the construction: the norm of S, the
-attainment witness for T + S, and a bound on the gap distance between T + S
-and T.
+with ||S|| <= epsilon such that T + S attains its minimum modulus.  The
+construction predicts the witness and m(T + S), ||S|| and a gap bound
+without scanning or decomposing T + S; ``verify_perturbation`` certifies
+them from T and S alone and holds them to the predictions.
 
-For positive T one of three shapes applies:
+For positive P one of three shapes applies:
 
-* bounded below (m(T) > 0): drop a rank-one cap at a near-minimizing unit
-  vector x, S = -eps <., x> x.  Then m(T + S) < m(T) - eps/2 and the new
-  minimum is attained near x.
+* bounded below (m(P) > 0): a rank-one cap at a near-minimizing unit
+  vector x, S = -eps <., x> x.
 * a null direction exists: nothing to do, S = 0.
-* injective with m(T) = 0: cap T + (eps/2) I with an inner parameter eps/4
-  at a near minimizer of T, so S = (eps/2) I - C.  The shift costs eps/2 in
-  norm and raises every <Tx, x> and m(T) alike, so T's near minimizers
-  serve T + (eps/2) I and the cap hands it an attained minimum.
+* injective with m(P) = 0: S = (eps/2) I - (eps/4) <., x> x.  The shift
+  raises every <Px, x> and m(P) alike, so P's near minimizers serve
+  P + (eps/2) I.
 
-A general T routes through its polar decomposition T = V |T|: build A for
-the positive |T|, compose S = V A, and m(T + S) = m(|T| + A) transfers the
-witness.  The bounded-below construction is this path with Case 1 required
-(m(|T|) > 0); the composed perturbation is again rank one, so closed range
+x is an eigenvector of P with eigenvalue lambda < m(P) + inner/2 (the
+witness of m(P) on a matrix, a block eigenvector or a basis vector on l2),
+so P reduces over span{x} and its complement.  With shift c and cap
+inner, P + S has the spectrum {lambda + c - inner} and sigma(P on x-perp)
++ c >= m(P) + c: m(P + S) = lambda + c - inner, attained at x, ||S|| =
+max(c, |c - inner|), and gap(P + S, P) <= ||S|| since each unit
+(x, (P + S)x) lies within ||Sx|| of (x, Px) (Kato IV §2).
+
+A general T routes through its polar decomposition T = V |T|: A is built
+for |T| and S = V A; T + S = V (|T| + A) with V isometric, so every
+prediction carries over.  The bounded-below construction is this path with
+Case 1 required (m(|T|) > 0); S is again rank one, so closed range
 survives along with attainment.
-
-The gap bound is taken where the graphs of T + S and T differ, from
-range(S*) of the S being certified (see ``gap._perturbation_gap``), so an
-l2 S whose tail is 0 costs no tail scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -42,7 +44,6 @@ from .operators import (
     NotRepresentableError,
     OperatorRep,
     RankOneTerm,
-    SumOp,
     Vec,
     add_operators,
     add_rank_one,
@@ -56,11 +57,13 @@ from .spectral import (
     NULL_TOL,
     AttainmentCertificate,
     minimum_modulus,
+    _basis_index,
+    _minimum_modulus,
     _polar,
     _positivity,
     _require_positive,
 )
-from .gap import _perturbation_gap
+from .gap import GapResult, _perturbation_gap
 
 __all__ = [
     "PerturbationCase",
@@ -75,7 +78,10 @@ __all__ = [
 ]
 
 STRICT_MARGIN = 1e-12
+# certified numbers agree with the predictions within CHECK_TOL, and a
+# certified witness attains m within RESIDUAL_TOL, both times max(1, sigma_1)
 CHECK_TOL = 1e-10
+RESIDUAL_TOL = 1e-8
 # near_minimizer scans the diagonal lazily up to this index
 SCAN_LIMIT = 10 ** 7
 
@@ -92,14 +98,14 @@ class PerturbationCase(str, Enum):
 
 @dataclass(frozen=True)
 class PerturbationResult:
-    """The perturbation S plus everything certified about it.
+    """The perturbation S plus what the construction predicts about T + S.
 
     ``inner_epsilon`` is the effective cap parameter (smaller than epsilon
     when the budget exceeded m(T), eps/4 on the vanishing-injective path,
-    None when S = 0).  ``gap_bound`` is a certified upper bound on the gap
-    between T + S and T, measured by ``gap_route`` ("diagonal" or "graph"):
-    the kernel that compared the graphs where they differ, on range(S*) of
-    a matrix S or on the blocks of an l2 pair.
+    None when S = 0).  ``witness`` holds the predicted witness x and
+    m(T + S), with no residual since nothing was measured; ``norm_s`` is the
+    predicted ||S|| and ``gap_bound`` the predicted bound ||S|| on the gap
+    between T + S and T.  :func:`verify_perturbation` certifies each one.
     """
 
     perturbation: OperatorRep
@@ -109,14 +115,13 @@ class PerturbationResult:
     witness: AttainmentCertificate
     norm_s: NormBound
     gap_bound: float
-    gap_route: str
 
     def to_json_dict(self) -> dict:
         try:
             portable = operator_to_json(self.perturbation)
         except NotRepresentableError:
             # a perturbation composed through a lazy isometry may have no
-            # portable form; the certified numbers above still do
+            # portable form; the predicted numbers above still do
             portable = None
         return {"caseTag": self.case.value,
                 "epsilon": self.epsilon,
@@ -124,13 +129,12 @@ class PerturbationResult:
                 "witness": self.witness.to_json_dict(),
                 "normS": self.norm_s.value,
                 "gapBound": self.gap_bound,
-                "gapRoute": self.gap_route,
                 "perturbation": portable}
 
 
 @dataclass(frozen=True)
 class PerturbationVerification:
-    """Re-derived checks of a perturbation result against its claims."""
+    """Certified checks of a perturbation result against its claims and predictions."""
 
     norm_value: float
     norm_ok: bool
@@ -170,12 +174,13 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _require_positive(op, "near_minimizer")
-    return _near_minimizer(op, epsilon, minimum_modulus(op, prefix=prefix), prefix, scan_limit)
+    return _near_minimizer(op, epsilon, minimum_modulus(op, prefix=prefix), prefix, scan_limit)[0]
 
 
 def _near_minimizer(op: OperatorRep, epsilon: float, cert: AttainmentCertificate,
-                    prefix: int, scan_limit: int) -> Vec:
-    """:func:`near_minimizer` of a positive T whose m(T) certificate is ``cert``.
+                    prefix: int, scan_limit: int) -> tuple[Vec, float]:
+    """:func:`near_minimizer` of a positive T whose m(T) certificate is ``cert``,
+    with the eigenvalue of T at the vector it returns.
 
     A matrix returns the certificate's witness, no eigendecomposition needed.
     """
@@ -184,20 +189,20 @@ def _near_minimizer(op: OperatorRep, epsilon: float, cert: AttainmentCertificate
     if not op.is_l2:
         if not cert.value < threshold - STRICT_MARGIN:
             raise ValueError("epsilon too small to leave a strict margin")
-        return cert.witness
+        return cert.witness, cert.value
 
     bt = block_tail(op)
     if bt.k:
         w, u = np.linalg.eigh(0.5 * (bt.block + bt.block.conj().T))
         if w[0] < threshold - STRICT_MARGIN:
-            return bt.embed(u[:, 0])
+            return bt.embed(u[:, 0]), float(w[0])
     # 1..prefix first, then each doubling window (n, 2n]: no entry is read twice
     start, n = 1, max(prefix, 1)
     while True:
         for indices, vals in bt.tail_blocks(n, start):
             hits = np.flatnonzero(vals.real < threshold - STRICT_MARGIN)
             if hits.size:
-                return Vec.basis(int(indices[hits[0]]))
+                return Vec.basis(int(indices[hits[0]])), float(vals[hits[0]].real)
         if n >= scan_limit:
             # an index exists whenever the infimum is approached through the
             # tail, but the scan budget ran out before reaching it
@@ -220,11 +225,14 @@ def rank_one_cap(epsilon: float, x: Vec) -> RankOneTerm:
 
 
 def _positive_construction(op: OperatorRep, epsilon: float, cert: AttainmentCertificate,
-                           prefix: int) -> tuple[PerturbationCase, OperatorRep, float | None]:
-    """Case, S and inner cap parameter for a positive T whose m(T) certificate is ``cert``."""
+                           prefix: int) -> PerturbationResult:
+    """S and its predictions for a positive T whose m(T) certificate is ``cert``."""
     m = cert.value
     if cert.attained and m <= NULL_TOL:
-        return PerturbationCase.NULL_DIRECTION_EXISTS, zero_like(op), None
+        # S = 0, and T attains m(T) at the certificate's witness already
+        witness = AttainmentCertificate(m, True, cert.witness, cert.witness_index)
+        return PerturbationResult(zero_like(op), PerturbationCase.NULL_DIRECTION_EXISTS,
+                                  epsilon, None, witness, NormBound(0.0), 0.0)
     if m > NULL_TOL:
         case, shift = PerturbationCase.POSITIVE_BOUNDED_BELOW, 0.0
         # a budget at or above m(T) would push past injectivity; halve instead
@@ -232,42 +240,12 @@ def _positive_construction(op: OperatorRep, epsilon: float, cert: AttainmentCert
     else:
         case, shift = PerturbationCase.VANISHING_INJECTIVE, epsilon / 2.0
         inner = epsilon / 4.0  # anything in (0, eps/2) works; fix the midpoint
-    x = _near_minimizer(op, inner, cert, prefix, SCAN_LIMIT)
+    x, lam = _near_minimizer(op, inner, cert, prefix, SCAN_LIMIT)
     s = add_rank_one(scale_shift(zero_like(op), 0.0, shift), RankOneTerm(-inner, x, x))
-    return case, s, inner
-
-
-def _certify(op: OperatorRep, s: OperatorRep,
-             prefix: int) -> tuple[AttainmentCertificate, NormBound, float, str]:
-    """m(T + S) with its witness, ||S||, and an upper bound on gap(T + S, T) with its route."""
-    perturbed = add_operators(op, s)
-    witness = minimum_modulus(perturbed, prefix=prefix)
-    norm_s, gap = _perturbation_gap(op, s, perturbed, prefix)
-    return witness, norm_s, gap.value + gap.tail_bound, gap.route
-
-
-def _finish(op: OperatorRep, s: OperatorRep, case: PerturbationCase,
-            base: AttainmentCertificate, inner: float | None, tag: PerturbationCase,
-            epsilon: float, prefix: int) -> PerturbationResult:
-    """Certify T + S for a built S and check the witness against the construction."""
-    witness, norm_s, gap_bound, gap_route = _certify(op, s, prefix)
-    if not witness.attained:
-        raise ArithmeticError("constructed perturbation failed to attain")
-    if witness.residual is not None and witness.residual > 1e-8:
-        raise ArithmeticError(f"witness residual too large: {witness.residual}")
-    if case is PerturbationCase.POSITIVE_BOUNDED_BELOW:
-        if not witness.value < base.value - inner / 2.0 + CHECK_TOL:
-            raise ArithmeticError(
-                f"m(T+S) = {witness.value} not below m(T) - eps/2 "
-                f"= {base.value - inner / 2.0}")
-    return PerturbationResult(s, tag, epsilon, inner, witness, norm_s, gap_bound, gap_route)
-
-
-def _positive_result(op: OperatorRep, epsilon: float, prefix: int) -> PerturbationResult:
-    """The positive construction for a T already checked to be positive."""
-    base = minimum_modulus(op, prefix=prefix)
-    case, s, inner = _positive_construction(op, epsilon, base, prefix)
-    return _finish(op, s, case, base, inner, case, epsilon, prefix)
+    # S = shift I - inner x x* has the eigenvalues shift and shift - inner
+    norm = max(shift, abs(shift - inner))
+    witness = AttainmentCertificate(lam + shift - inner, True, x, _basis_index(x))
+    return PerturbationResult(s, case, epsilon, inner, witness, NormBound(norm), norm)
 
 
 def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
@@ -280,7 +258,7 @@ def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     _require_positive(op, "attainment_perturbation_positive")
-    return _positive_result(op, epsilon, prefix)
+    return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +272,22 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
 
     Positive inputs keep their positive-case tags.  Otherwise T = V |T| is
     split, the positive construction runs on |T|, and S = V A is returned
-    with tag "GeneralVA"; m(T + S) = m(|T| + A), which is re-derived from
-    T + S directly and cross-checked.
+    with tag "GeneralVA"; m(T + S) = m(|T| + A) at the same witness, so the
+    predictions for |T| + A are those for T + S.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     ok, _ = _positivity(op)
     if ok:
-        return _positive_result(op, epsilon, prefix)
+        return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
     parts, base = _polar(op, prefix)
-    case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)
-    if case is PerturbationCase.NULL_DIRECTION_EXISTS:
-        s = zero_like(op)  # nothing was composed; keep the honest tag
-        tag = case
-    else:
-        # A has a constant tail (0 or eps/2), so the entrywise product with
-        # the bounded phase tail of V needs no behaviour at infinity
-        s = compose_operators(parts.isometry, a)
-        tag = PerturbationCase.POLAR_COMPOSED
-    result = _finish(op, s, case, base, inner, tag, epsilon, prefix)
-    positive_witness = minimum_modulus(add_operators(parts.modulus, a), prefix=prefix)
-    if abs(result.witness.value - positive_witness.value) > CHECK_TOL:
-        raise ArithmeticError(f"m(T+S) = {result.witness.value} drifted from "
-                              f"m(|T|+A) = {positive_witness.value}")
-    return result
+    res = _positive_construction(parts.modulus, epsilon, base, prefix)
+    if res.case is PerturbationCase.NULL_DIRECTION_EXISTS:
+        return replace(res, perturbation=zero_like(op))  # nothing composed; keep the honest tag
+    # A has a constant tail (0 or eps/2), so the entrywise product with the
+    # bounded phase tail of V needs no behaviour at infinity
+    return replace(res, perturbation=compose_operators(parts.isometry, res.perturbation),
+                   case=PerturbationCase.POLAR_COMPOSED)
 
 
 def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
@@ -334,12 +304,11 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     parts, base = _polar(op, prefix)
     if base.value <= NULL_TOL:
         raise ValueError("bounded_below_perturbation requires m(T) > 0")
-    case, a, inner = _positive_construction(parts.modulus, epsilon, base, prefix)
-    s = compose_operators(parts.isometry, a)  # A's tail is the constant 0
-    if isinstance(s, SumOp) and len(s.terms) > 1:
+    res = _positive_construction(parts.modulus, epsilon, base, prefix)
+    s = compose_operators(parts.isometry, res.perturbation)  # A's tail is the constant 0
+    if len(getattr(s, "terms", ())) != 1:
         raise ArithmeticError("composed perturbation is not rank one")
-    return _finish(op, s, case, base, inner, PerturbationCase.BOUNDED_BELOW_RANK_ONE,
-                   epsilon, prefix)
+    return replace(res, perturbation=s, case=PerturbationCase.BOUNDED_BELOW_RANK_ONE)
 
 
 # ---------------------------------------------------------------------------
@@ -347,17 +316,47 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
 # ---------------------------------------------------------------------------
 
 
+def _certify(op: OperatorRep, s: OperatorRep, prefix: int
+             ) -> tuple[OperatorRep, AttainmentCertificate, float, NormBound, GapResult]:
+    """T + S, m(T + S) with its witness, the scale max(1, sigma_1, m) of the
+    SVD behind it, ||S|| and gap(T + S, T)."""
+    perturbed = add_operators(op, s)
+    witness, top = _minimum_modulus(perturbed, prefix)
+    norm_s, gap = _perturbation_gap(op, s, perturbed, prefix)
+    scale = max(1.0, top, witness.value if witness.attained else 0.0)
+    return perturbed, witness, scale, norm_s, gap
+
+
+def _witness_agrees(perturbed: OperatorRep, cert: AttainmentCertificate,
+                    predicted: AttainmentCertificate, tol: float) -> bool:
+    """A predicted basis witness names the certified index; any other attains m."""
+    if predicted.witness_index is not None and cert.witness_index is not None:
+        return predicted.witness_index == cert.witness_index
+    return abs(perturbed.apply(predicted.witness).norm() - cert.value) <= tol
+
+
 def verify_perturbation(op: OperatorRep, result: PerturbationResult, *,
                         prefix: int = DEFAULT_PREFIX) -> PerturbationVerification:
-    """Re-derive the three claims of a result from T and S alone.
+    """Certify the three claims of a result from T and S alone.
 
-    (1) ||S|| <= epsilon, (2) T + S attains its minimum modulus with a small
-    witness residual, (3) the gap between T + S and T is at most epsilon.
-    Nothing from the construction is trusted; T + S is rebuilt here.
+    (1) ||S|| <= epsilon, (2) T + S attains its minimum modulus with a
+    witness residual within RESIDUAL_TOL * scale, (3) the gap between T + S
+    and T is at most epsilon.  Each certified number must also agree with
+    the result's prediction within CHECK_TOL * scale: ||S|| and m(T + S) both
+    ways, the gap at most the predicted bound, and the witness by
+    ``_witness_agrees``.  The scale is max(1, sigma_1, m), sigma_1 the largest
+    singular value of the SVD that certified m(T + S) (of the block on l2).
+    Nothing else from the construction is used; T + S is rebuilt here.
     """
-    cert, norm_s, gap_value, gap_route = _certify(op, result.perturbation, prefix)
-    norm_ok = norm_s.value + norm_s.tail_slack <= result.epsilon + STRICT_MARGIN
-    attain_ok = cert.attained and (cert.residual is not None and cert.residual <= 1e-8)
-    gap_ok = gap_value <= result.epsilon + CHECK_TOL
+    perturbed, cert, scale, norm_s, gap = _certify(op, result.perturbation, prefix)
+    tol = CHECK_TOL * scale
+    gap_value = gap.value + gap.tail_bound
+    norm_ok = (norm_s.value + norm_s.tail_slack <= result.epsilon + STRICT_MARGIN
+               and abs(norm_s.value - result.norm_s.value) <= tol)
+    attain_ok = (cert.attained and cert.residual is not None
+                 and cert.residual <= RESIDUAL_TOL * scale
+                 and abs(cert.value - result.witness.value) <= tol
+                 and _witness_agrees(perturbed, cert, result.witness, tol))
+    gap_ok = gap_value <= result.epsilon + CHECK_TOL and gap_value <= result.gap_bound + tol
     return PerturbationVerification(norm_s.value, norm_ok, cert, attain_ok,
-                                    gap_value, gap_route, gap_ok)
+                                    gap_value, gap.route, gap_ok)

@@ -278,7 +278,7 @@ def _run_perturb(exp: dict, config: ScenarioConfig, prefix: int) -> tuple[float,
     verification = verify_perturbation(target, result, prefix=prefix)
     detail = {"result": result.to_json_dict(),
               "verification": verification.to_json_dict()}
-    return result.witness.value, verification.passed, detail
+    return verification.attainment.value, verification.passed, detail
 
 
 def _run_gap_pair(exp: dict, config: ScenarioConfig, prefix: int,

@@ -176,10 +176,16 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
     when the prefix reaches at least as low as the tail ever will.
     Ties resolve to the block first, then to the smallest scan index.
     """
+    return _minimum_modulus(op, prefix)[0]
+
+
+def _minimum_modulus(op: OperatorRep, prefix: int) -> tuple[AttainmentCertificate, float]:
+    """:func:`minimum_modulus` and the largest singular value of the SVD it
+    took, of T's matrix or of its block (0 with no block)."""
     if not op.is_l2:
         arr = _dense(op)
         _, s, vh = np.linalg.svd(arr)
-        return _matrix_certificate(arr, s, vh)
+        return _matrix_certificate(arr, s, vh), float(s[0])
 
     bt = block_tail(op)
     # per block: the smallest |entry| and the first index holding it
@@ -193,7 +199,7 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
     tail_inf = _tail_abs_inf(bt)
 
     _, s, vh = np.linalg.svd(bt.block)
-    block_min = float(s[-1]) if bt.k else math.inf
+    block_min, top = (float(s[-1]), float(s[0])) if bt.k else (math.inf, 0.0)
     if min(block_min, scan_min) <= tail_inf:
         if bt.k and block_min <= scan_min:
             witness = bt.embed(vh[-1].conj())
@@ -203,8 +209,8 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
             value = scan_min
         applied = op.apply(witness)
         residual = abs(applied.norm() / witness.norm() - value)
-        return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
-    return AttainmentCertificate(tail_inf, False, None, None, None)
+        return AttainmentCertificate(value, True, witness, _basis_index(witness), residual), top
+    return AttainmentCertificate(tail_inf, False, None, None, None), top
 
 
 def _matrix_certificate(arr: np.ndarray, s: np.ndarray, vh: np.ndarray) -> AttainmentCertificate:

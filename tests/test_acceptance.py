@@ -81,6 +81,12 @@ def test_criterion_1_bounded_below_rank_one_drop():
                 f"eps={eps}: m(T+S) = {res.witness.value} != {want}")
         _expect(failures, res.witness.value < 1.0 - eps / 2.0,
                 f"eps={eps}: m(T+S) not strictly below m(T) - eps/2")
+        # the numbers above are the construction's predictions; these are certified
+        v = verify_perturbation(op, res)
+        _expect(failures, v.passed and abs(v.norm_value - eps) <= 1e-12
+                and v.attainment.witness_index == n0 and abs(v.attainment.value - want) <= 1e-12,
+                f"eps={eps}: certified ||S|| = {v.norm_value}, m(T+S) = {v.attainment.value} "
+                f"at {v.attainment.witness_index}, passed {v.passed}")
     _finish(1, "rank-one drop on diag(1+1/n), budget spent exactly",
             failures, t0, 1.0)
 
@@ -107,6 +113,11 @@ def test_criterion_2_vanishing_injective_shifted_cap():
     want = 1.0 / 17.0 + 0.125
     _expect(failures, abs(res.witness.value - want) <= 1e-12,
             f"m(T+S) = {res.witness.value} != {want}")
+    v = verify_perturbation(op, res)
+    _expect(failures, v.passed and abs(v.norm_value - 0.25) <= 1e-12
+            and v.attainment.witness_index == 17 and abs(v.attainment.value - want) <= 1e-12,
+            f"certified ||S|| = {v.norm_value}, m(T+S) = {v.attainment.value} "
+            f"at {v.attainment.witness_index}, passed {v.passed}")
     gap = operator_gap_diagonal(add_operators(op, s), op, prefix=100_000)
     _expect(failures, gap.route == "diagonal" and gap.truncation == 100_000,
             "gap not measured on the diagonal route at N = 100000")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from minatt.operators import (
     DEFAULT_PREFIX,
+    DiagonalOp,
     MatrixOp,
     RankOneTerm,
     SumOp,
@@ -17,11 +18,13 @@ from minatt.operators import (
     Vec,
     add_rank_one,
     compose_operators,
+    constant_seq,
     named_diagonal,
     operator_norm,
     scale_shift,
     truncate,
 )
+from minatt.operators import _adjoint_range
 from minatt.gap import (
     GapResult,
     _closed_form_dense,
@@ -251,6 +254,43 @@ def test_finite_rank_gap_matches_the_whole_graph_gap(rows, cols, rank, seed):
         assert gap.value == 0.0 and norm.value == 0.0
     else:
         assert abs(gap.value - _graph_gap(t + s, t)) <= 1e-12
+
+
+@given(st.integers(min_value=1, max_value=64), st.integers(min_value=1, max_value=64),
+       st.integers(min_value=1, max_value=3), st.booleans(), st.booleans(),
+       st.integers(min_value=0, max_value=2**31 - 1))
+def test_factored_norm_and_range_match_a_dense_svd(rows, cols, k, dependent, zero, seed):
+    # S = sum a_i y_i x_i* over a zero base is read off its terms; a repeated
+    # x_i and a zero a_i leave range(S*) smaller than the span of the x_i
+    rng = np.random.default_rng(seed)
+    xs, ys = ([v / np.linalg.norm(v) for v in _rand(rng, n, k).T] for n in (cols, rows))
+    coeffs = rng.uniform(0.05, 2.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    if dependent and k > 1:
+        xs[1] = 1j * xs[0]
+    if zero:
+        coeffs[-1] = 0.0
+    dense = sum(c * np.outer(y, x.conj()) for c, x, y in zip(coeffs, xs, ys))
+    _, sv, vh = np.linalg.svd(dense)
+    r = int(np.count_nonzero(sv > 1e-13 * max(1.0, sv[0])))
+    projector = vh[:r].conj().T @ vh[:r]
+    # the same terms on a matrix, and on l2 coordinates spread over 1..1e6
+    # (left on one set of indices, right on another)
+    at = np.sort(rng.choice(np.arange(1, 10 ** 6), rows + cols, replace=False))
+    left = at[rng.permutation(rows + cols)[:cols]]
+    right = np.setdiff1d(at, left)
+    for l2 in (False, True):
+        def vec(v, where):
+            return Vec(tuple(zip(np.sort(where).tolist(), v.tolist())), None) if l2 \
+                else Vec.from_dense(v)
+        terms = tuple(RankOneTerm(c, vec(x, left), vec(y, right))
+                      for c, x, y in zip(coeffs, xs, ys))
+        base = DiagonalOp(constant_seq(0.0)) if l2 else MatrixOp(np.zeros((rows, cols)))
+        norm, basis = _adjoint_range(SumOp(base, 0.0, terms))
+        assert abs(norm.value - sv[0]) <= 1e-12 * max(1.0, sv[0])
+        assert basis.shape[1] == r
+        if l2:  # rows of the basis follow the sorted union of left and right
+            basis = basis[np.isin(at, left)]
+        np.testing.assert_allclose(basis @ basis.conj().T, projector, atol=1e-9)
 
 
 @pytest.mark.parametrize("top", [1e2, 1e8])

@@ -15,6 +15,7 @@ from minatt.operators import (
     DiagonalOp,
     InconclusiveError,
     MatrixOp,
+    NormBound,
     RankOneTerm,
     SumOp,
     Vec,
@@ -83,8 +84,8 @@ def test_near_minimizer_takes_a_basis_block_eigenvector():
     assert res.to_json_dict()["caseTag"] == "Case1"
     assert res.witness.witness.entries[0][0] == 5
     assert abs(res.witness.value - 0.6) < 1e-12
-    assert res.gap_route == "diagonal"
-    assert verify_perturbation(op, res).passed
+    v = verify_perturbation(op, res)
+    assert v.gap_route == "diagonal" and v.passed
 
 
 def test_near_minimizer_takes_a_coupled_block_eigenvector():
@@ -100,8 +101,8 @@ def test_near_minimizer_takes_a_coupled_block_eigenvector():
     res = attainment_perturbation(op, 0.1)
     assert abs(res.witness.value - (least - 0.1)) < 1e-12
     assert abs(res.witness.value - 0.1094306) < 1e-7
-    assert res.gap_route == "graph"
-    assert verify_perturbation(op, res).passed
+    v = verify_perturbation(op, res)
+    assert v.gap_route == "graph" and v.passed
 
 
 def test_near_minimizer_requires_positive_input():
@@ -148,9 +149,10 @@ def test_bounded_below_diagonal_full_contract():
     assert res.witness.attained and res.witness.witness_index == 5
     assert abs(res.witness.value - 0.7) < 1e-12
     assert res.witness.value < 1.0 - 0.25  # strictly below m(T) - eps/2
-    assert res.gap_route == "diagonal"
-    assert res.gap_bound <= 0.5 + 1e-10
-    assert verify_perturbation(op, res).passed
+    assert res.gap_bound == 0.5
+    v = verify_perturbation(op, res)
+    assert v.gap_route == "diagonal" and v.gap_value <= 0.5 + 1e-10
+    assert v.passed
 
 
 def test_budget_larger_than_minimum_is_halved():
@@ -193,9 +195,10 @@ def test_vanishing_injective_shifted_cap():
     assert res.norm_s.value == 0.25  # eps/2, well under the budget
     assert res.witness.witness_index == 17
     assert abs(res.witness.value - (1.0 / 17.0 + 0.125)) < 1e-12
-    assert res.gap_route == "diagonal"
-    assert res.gap_bound <= 0.5
-    assert verify_perturbation(op, res).passed
+    assert res.gap_bound == 0.25
+    v = verify_perturbation(op, res)
+    assert v.gap_route == "diagonal" and v.gap_value <= 0.25
+    assert v.passed
 
 
 def test_vanishing_injective_small_budget():
@@ -329,8 +332,9 @@ def test_coupled_block_gets_a_measured_gap(build):
                       RankOneTerm(0.3, Vec(((1, r), (2, r)), None), Vec.basis(3)))
     res = build(op, 0.05)
     perturbed = add_operators(op, res.perturbation)
-    assert res.gap_route == "graph"
-    assert res.gap_bound <= res.norm_s.value
+    v = verify_perturbation(op, res)
+    assert v.gap_route == "graph"
+    assert v.gap_value <= v.norm_value
 
     def graph_projection(a):
         g = np.vstack([np.eye(a.shape[1]), a])
@@ -338,8 +342,8 @@ def test_coupled_block_gets_a_measured_gap(build):
     # T + S and T agree past e_60, so their 60 x 60 sections hold the whole gap
     dense = np.linalg.norm(graph_projection(truncate(perturbed, 60).array)
                            - graph_projection(truncate(op, 60).array), 2)
-    assert 0.0 <= res.gap_bound - dense <= 1e-12
-    assert verify_perturbation(op, res).passed
+    assert 0.0 <= v.gap_value - dense <= 1e-12
+    assert v.passed
     assert gap_upper_bound_check(perturbed, op).holds
 
 
@@ -383,13 +387,14 @@ def test_case1_construction_certifies_the_operator_once(monkeypatch):
     assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
     assert calls == {"_positivity": 1, "minimum_modulus": 1}
     # every call counts below: Case 3 scans T itself rather than a shifted
-    # copy, and bounded below checks m(|T|) once and no positivity at all
+    # copy, bounded below checks m(|T|) once and no positivity at all, and
+    # neither construction certifies T + S
     res, calls = counted(attainment_perturbation_positive, named_diagonal("inv_n"), 1e-3)
     assert res.case is PerturbationCase.VANISHING_INJECTIVE
-    assert calls == {"_positivity": 1, "minimum_modulus": 2}
+    assert calls == {"_positivity": 1, "minimum_modulus": 1}
     res, calls = counted(bounded_below_perturbation, scale_shift(op, -1.0, 0.0), 0.1)
     assert res.case is PerturbationCase.BOUNDED_BELOW_RANK_ONE
-    assert calls == {"_positivity": 0, "minimum_modulus": 2}
+    assert calls == {"_positivity": 0, "minimum_modulus": 1}
 
 
 def _tail_scans(monkeypatch):
@@ -424,12 +429,13 @@ def test_finite_rank_certificates_scan_no_tail(monkeypatch):
     res = attainment_perturbation_positive(op, 0.5)
     assert res.case is PerturbationCase.VANISHING_INJECTIVE
     assert verify_perturbation(op, res).passed
-    assert len(scans) == 2 and all(math.isfinite(bound) for _, bound in scans)
+    assert len(scans) == 1 and all(math.isfinite(bound) for _, bound in scans)
 
 
 def test_case1_at_n_1e6_reads_no_prefix_for_the_gap():
-    # m(T) once and m(T + S) twice, about 1e6 entries each; scanning the
-    # tails of T + S and T for the gap read 4e6 more
+    # m(T) in the construction and m(T + S) in the verification, about 1e6
+    # entries each; scanning the tails of T + S and T for the gap read 4e6
+    # more, and certifying T + S in the construction too another 1e6
     n = 10 ** 6
     read = []
 
@@ -438,10 +444,12 @@ def test_case1_at_n_1e6_reads_no_prefix_for_the_gap():
         return 1.0 + 1.0 / a
     op = DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=gen))
     assert verify_perturbation(op, attainment_perturbation(op, 0.1, prefix=n), prefix=n).passed
-    assert sum(read) <= 3_100_000
+    assert sum(read) <= 2_100_000
 
 
 def test_matrix_certificate_forms_no_whole_graph_basis(monkeypatch):
+    # the verification certifies once, and reads ||S|| and range(S*) off
+    # S's terms: no SVD of S and no 2n x n QR
     rng = np.random.default_rng(29)
     n = 64
     op = MatrixOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
@@ -467,10 +475,12 @@ def test_matrix_certificate_forms_no_whole_graph_basis(monkeypatch):
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
     monkeypatch.setattr(perturbation, "_certify", certify_spy)
     res = attainment_perturbation(op, 0.05)
+    assert s_svds == []  # the construction certifies nothing
     assert verify_perturbation(op, res).passed
     assert res.case is PerturbationCase.POLAR_COMPOSED
+    assert isinstance(res.perturbation, SumOp) and len(res.perturbation.terms) == 1
     assert (2 * n, n) not in qr_shapes
-    assert len(s_svds) == 2 and max(s_svds) <= 1
+    assert s_svds == [0]
 
 
 def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
@@ -480,6 +490,7 @@ def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
     rng = np.random.default_rng(41)
     n = 64
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    # (polar's in the construction, m(T + S)'s in the verification)
     calls = {"svd": 0, "eigh": 0}
     real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
 
@@ -496,13 +507,16 @@ def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
     op = MatrixOp(a)
     res = attainment_perturbation(op, 0.05)
     assert res.case is PerturbationCase.POLAR_COMPOSED
-    assert calls["svd"] <= 4 and calls["eigh"] == 0
+    assert calls["svd"] <= 1 and calls["eigh"] == 0
     assert verify_perturbation(op, res).passed
+    assert calls["svd"] <= 2
     positive = MatrixOp(a @ a.conj().T / n + 0.5 * np.eye(n))
+    calls["svd"] = 0
     res = attainment_perturbation(positive, 0.05)
     assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
-    assert calls["eigh"] == 0
+    assert calls["svd"] <= 1 and calls["eigh"] == 0
     assert verify_perturbation(positive, res).passed
+    assert calls["svd"] <= 2
 
 
 def test_verification_catches_doubled_coefficient():
@@ -521,12 +535,86 @@ def test_verification_catches_doubled_coefficient():
     t = 3.0 * np.eye(6) + 0.5 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     res = attainment_perturbation(MatrixOp(t), 0.5)
     assert res.case is PerturbationCase.POLAR_COMPOSED
-    s_bad = 2.0 * res.perturbation.array
+    s_bad = 2.0 * _dense(res.perturbation)
     v = verify_perturbation(MatrixOp(t), dataclasses.replace(res, perturbation=MatrixOp(s_bad)))
     assert not v.norm_ok
     assert not v.passed
     assert abs(v.gap_value - _graph_gap(t + s_bad, t)) <= 1e-12
-    assert v.gap_value > res.gap_bound + 1e-3
+    assert v.gap_value > verify_perturbation(MatrixOp(t), res).gap_value + 1e-3
+
+
+def test_bounded_below_matrix_result_is_one_factored_term(monkeypatch):
+    # V A over a zero base stays a zero base plus one term, so the rank-one
+    # guard sees the composed S itself
+    rng = np.random.default_rng(5)
+    t = MatrixOp(3.0 * np.eye(8) + 0.5 * rng.standard_normal((8, 8)))
+    res = bounded_below_perturbation(t, 0.2)
+    assert isinstance(res.perturbation, SumOp) and len(res.perturbation.terms) == 1
+    assert not res.perturbation.base.array.any() and res.perturbation.shift == 0
+    assert verify_perturbation(t, res).passed
+    real = perturbation.compose_operators
+
+    def two_terms(a, b, **kwargs):
+        s = real(a, b, **kwargs)
+        return SumOp(s.base, s.shift, s.terms * 2)
+    monkeypatch.setattr(perturbation, "compose_operators", two_terms)
+    with pytest.raises(ArithmeticError):
+        bounded_below_perturbation(t, 0.2)
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e8])
+def test_construct_and_verify_pass_on_large_matrices(scale):
+    # every tolerance scales with max(1, sigma_1(T + S)): an absolute 1e-10
+    # drift check and an absolute 1e-8 residual bound both failed here
+    rng = np.random.default_rng(3)
+    op = MatrixOp(scale * (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))))
+    res = attainment_perturbation(op, 0.1)
+    assert verify_perturbation(op, res).passed
+
+
+def _tampered(op, res, **changes):
+    return verify_perturbation(op, dataclasses.replace(res, **changes))
+
+
+def test_verification_holds_results_to_their_predictions():
+    # l2 with a basis witness, and a matrix with a dense one
+    rng = np.random.default_rng(11)
+    matrix = MatrixOp(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    drop = named_diagonal("one_plus_inv_n")
+    for op, moved, index in ((drop, Vec.basis(6), 6),
+                             (matrix, Vec.from_dense(np.ones(6) / math.sqrt(6.0)), None)):
+        res = attainment_perturbation(op, 0.5)
+        v = verify_perturbation(op, res)
+        assert v.passed and v.gap_value > 0.1
+        w = res.witness
+        assert not _tampered(op, res, witness=dataclasses.replace(
+            w, witness=moved, witness_index=index)).attainment_ok
+        assert not _tampered(op, res, witness=dataclasses.replace(w, value=w.value + 1e-6)).passed
+        under = _tampered(op, res, norm_s=NormBound(0.9 * v.norm_value))
+        assert under.attainment_ok and under.gap_ok and not under.norm_ok
+        under = _tampered(op, res, gap_bound=0.5 * v.gap_value)
+        assert under.norm_ok and under.attainment_ok and not under.gap_ok
+    # the tolerance is CHECK_TOL * max(1, sigma_1): m off by 1e-11 still agrees
+    res = attainment_perturbation(drop, 0.5)
+    assert _tampered(drop, res, witness=dataclasses.replace(
+        res.witness, value=res.witness.value + 1e-11)).passed
+
+
+def test_an_s_that_fails_to_attain_fails_verification():
+    # S = 0 leaves diag(1 + 1/n) unattained
+    op = named_diagonal("one_plus_inv_n")
+    res = attainment_perturbation(op, 0.5)
+    v = _tampered(op, res, perturbation=zero_like(op))
+    assert not v.attainment.attained and not v.attainment_ok and not v.passed
+    # a late entry 1 + 1/n - 1.6 at n = 5000, unseen by the positivity sample:
+    # the construction predicts m(T + S) = -0.6998, which no certificate
+    # confirms; it used to raise ArithmeticError instead
+    late = DiagonalOp(diagonal_seq(None, ConvergesTo(1.0),
+                                   vec_fn=lambda a: 1.0 + 1.0 / a - 1.6 * (a == 5000)))
+    res = attainment_perturbation(late, 0.1)
+    v = verify_perturbation(late, res)
+    assert v.attainment.attained and abs(v.attainment.value - 0.6998) < 1e-12
+    assert not v.attainment_ok and not v.passed
 
 
 def test_result_serialises_to_json():
