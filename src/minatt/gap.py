@@ -21,8 +21,8 @@ The kernels share no code.  What the routes share on purpose sits in
 sums over the union of their supports so the kernel takes the blocks, and
 the diagonal tails are certified once for all routes.
 Unbounded operators are fine on every l2 route; that is the point of
-using the gap rather than the norm distance.  A perturbation's certificate
-gap(T + S, T) is taken from range(S*) alone (see ``_perturbation_gap``).
+using the gap rather than the norm distance.  A matrix perturbation's
+certificate gap(T + S, T) is taken from range(S*) alone (``_perturbation_gap``).
 """
 
 from __future__ import annotations
@@ -399,19 +399,19 @@ def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int | None) -> GapR
 
 def _perturbation_gap(t: OperatorRep, s: OperatorRep, perturbed: OperatorRep,
                       prefix: int) -> tuple[NormBound, GapResult]:
-    """||S|| and gap(T + S, T), with ``perturbed`` = T + S, taken where the graphs differ.
+    """||S|| and gap(T + S, T), with ``perturbed`` = T + S.
 
-    Both graphs contain W = {(x, Tx) : Sx = 0}, so the gap is that of W's
+    On l2, ||S|| is ``operator_norm(S)`` and the gap is ``_gap``'s.  On matrices
+    both graphs contain W = {(x, Tx) : Sx = 0}, so the gap is that of W's
     complements (Kato IV §2), spanned by (Y, TY) for Y = (I + T*T)^(-1) R and
     likewise for T + S, R an orthonormal basis of range(S*) (``_adjoint_range``).
     I + T*T squares T's condition number, so a matrix too large for it
     compares whole graphs.
     """
-    factors = _adjoint_range(s)
-    if t.is_l2:  # an S of finite rank has the tail 0, which leaves both tails the same
-        norm_s = factors[0] if factors else operator_norm(s, prefix=prefix)
-        return norm_s, _gap(perturbed, t, "auto", None if factors else prefix)
-    norm_s, basis = factors
+    if t.is_l2:  # where S's tail is the constant 0, T + S has T's tail entry for entry
+        skip = block_tail(s).tail.const_value == 0
+        return operator_norm(s, prefix=prefix), _gap(perturbed, t, "auto", None if skip else prefix)
+    norm_s, basis = _adjoint_range(s)
     dp, dt = _dense(perturbed), _dense(t)
     if np.finfo(float).eps * max(np.linalg.norm(dp), np.linalg.norm(dt)) ** 2 > ROUTE_AGREE_TOL:
         return norm_s, GapResult(_graph_gap(dp, dt), "graph", None, 0.0)

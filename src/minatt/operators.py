@@ -16,7 +16,9 @@ support of its rank-one terms (the coordinates they touch) direct sum a
 plain diagonal on the remaining coordinates; see :func:`block_tail`.  That
 split is what keeps norms, spectra and perturbation arithmetic exact
 downstream, at a cost set by the support, not by where it sits.  Only
-:class:`BlockTail` knows how the two parts interleave.
+:class:`BlockTail` knows how the two parts interleave.  No operation here
+factorizes to rebuild terms, so none can drop one: :func:`block_tail_op`
+makes a term of each nonzero column, and compositions map terms one by one.
 """
 
 from __future__ import annotations
@@ -818,17 +820,14 @@ def block_tail(op: OperatorRep, support=None) -> BlockTail:
 
 
 def block_tail_op(bt: BlockTail) -> OperatorRep:
-    """Rebuild a representable operator from a block-plus-tail form."""
-    if bt.k == 0:
-        return DiagonalOp(bt.tail)
+    """Rebuild a representable operator from a block-plus-tail form, one term
+    ||d_j|| <., e_{s_j}> (d_j / ||d_j||) per nonzero column d_j of block - diag(tail)."""
     diff = bt.block - np.diag(bt.tail.values_at(np.array(bt.support, dtype=np.int64)))
     terms = []
-    scale = max(1.0, float(np.max(np.abs(diff))))
-    u, s, vh = np.linalg.svd(diff)
-    for i, sv in enumerate(s):
-        if sv <= RANK_TOL * scale:
-            continue
-        terms.append(RankOneTerm(sv, bt.embed(vh[i].conj()), bt.embed(u[:, i])))
+    for j, col in zip(bt.support, diff.T):
+        size = float(np.linalg.norm(col))
+        if size > 0:
+            terms.append(RankOneTerm(size, Vec.basis(j), bt.embed(col / size)))
     return SumOp(DiagonalOp(bt.tail), 0j, tuple(terms)) if terms else DiagonalOp(bt.tail)
 
 
@@ -845,6 +844,12 @@ def _dense(op: OperatorRep) -> np.ndarray:
             arr = arr + t.coeff * np.outer(t.right.dense(rows), t.left.dense(cols).conj())
         return arr
     raise NotRepresentableError("operator has no finite dense form")
+
+
+def _terms_only(op: OperatorRep) -> bool:
+    """Whether ``op`` is the sum of its rank-one terms: a zero base and no shift."""
+    base, shift = (op.base, op.shift) if isinstance(op, SumOp) else (op, 0)
+    return shift == 0 and (base.seq.const_value == 0 if base.is_l2 else not base.array.any())
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +892,7 @@ def zero_like(op: OperatorRep) -> OperatorRep:
     """The zero operator on the same ambient space."""
     if op.is_l2:
         return DiagonalOp(constant_seq(0.0))
-    arr = _dense(op)
-    return MatrixOp(np.zeros_like(arr))
+    return MatrixOp(np.zeros(getattr(op, "base", op).array.shape))
 
 
 def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
@@ -918,8 +922,9 @@ def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTai
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:
     """The composition a(b(x)), kept inside the representable class.
 
-    A matrix times a zero matrix plus rank-one terms maps each term and
-    stays in that form.  For l2 operands both split over the union of their
+    A b that is the sum of its rank-one terms (``_terms_only``) maps term by
+    term, on matrices and l2 alike, so its rank never grows.  Other matrices
+    multiply densely.  Other l2 operands both split over the union of their
     supports, so blocks multiply densely and tails multiply entrywise.  A
     divergent root sequence needs ``at_infinity`` to say where the product
     of the two tails heads (a scalar or the string ``"diverges"``); bounded
@@ -927,21 +932,23 @@ def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> Op
     """
     if a.is_l2 != b.is_l2:
         raise ValueError("cannot compose operators on different ambient spaces")
-    if not a.is_l2:
-        da = _dense(a)
-        if isinstance(b, SumOp) and b.shift == 0 and not b.base.array.any():
-            # a (c <., x> y) = c ||a y|| <., x> (a y / ||a y||), so the terms stay
-            # rank-one terms; a term that a annihilates drops out
-            if da.shape[1] != b.base.rows:
+    if isinstance(b, SumOp) and _terms_only(b):
+        zero = zero_like(a)
+        if isinstance(zero, MatrixOp):  # a times a zero matrix has a's rows and its columns
+            if zero.cols != b.base.rows:
                 raise ValueError("shape mismatch in composition")
-            terms = []
-            for t in b.terms:
-                ay = da @ t.right.dense(b.base.rows)
-                size = float(np.linalg.norm(ay))
-                if size > 0:
-                    terms.append(RankOneTerm(t.coeff * size, t.left, Vec.from_dense(ay / size)))
-            return SumOp(MatrixOp(np.zeros((da.shape[0], b.base.cols))), 0j, tuple(terms))
-        db = _dense(b)
+            zero = MatrixOp(np.zeros((zero.rows, b.base.cols)))
+        # a (c <., x> y) = c ||a y|| <., x> (a y / ||a y||), so the terms stay
+        # rank-one terms; a term that a annihilates drops out
+        terms = []
+        for t in b.terms:
+            ay = a.apply(t.right)
+            size = float(np.linalg.norm([v for _, v in ay.entries]))
+            if size > 0:
+                terms.append(RankOneTerm(t.coeff * size, t.left, ay.scale(1.0 / size)))
+        return SumOp(zero, 0j, tuple(terms))
+    if not a.is_l2:
+        da, db = _dense(a), _dense(b)
         if da.shape[1] != db.shape[0]:
             raise ValueError("shape mismatch in composition")
         return MatrixOp(da @ db)
@@ -1028,35 +1035,24 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     return NormBound(value, slack)
 
 
-def _adjoint_range(s: OperatorRep) -> tuple[NormBound, np.ndarray] | None:
-    """||S|| and an orthonormal basis R of range(S*), None when that range is not finite.
+def _adjoint_range(s: OperatorRep) -> tuple[NormBound, np.ndarray]:
+    """||S|| and an orthonormal basis R of range(S*), for a matrix S.
 
-    S = sum a_i y_i x_i* over a zero base (no shift) is read off its terms:
-    with X = Q_x R_x and Y = Q_y R_y from k-column QRs, S = Q_y C Q_x* for the
+    S = sum a_i y_i x_i* (``_terms_only``) is read off its terms: with
+    X = Q_x R_x and Y = Q_y R_y from k-column QRs, S = Q_y C Q_x* for the
     k x k core C = R_y diag(a) R_x*, so ||S|| = ||C|| and R is Q_x times C's
-    right singular vectors.  Any other matrix takes one SVD; any other l2 S
-    has no finite range.  R keeps the directions with sigma > RANK_TOL *
-    max(1, sigma_1); on l2 its rows are the sorted coordinates the terms touch.
+    right singular vectors.  Any other S takes one SVD.  R keeps the
+    directions with sigma > RANK_TOL * max(1, sigma_1).
     """
-    base, shift, terms = (s.base, s.shift, s.terms) if isinstance(s, SumOp) else (s, 0, ())
-    if shift != 0 or (base.seq.const_value != 0 if s.is_l2 else base.array.any()):
-        if s.is_l2:
-            return None
+    base, terms = getattr(s, "base", s), getattr(s, "terms", ())
+    if not _terms_only(s):
         _, sv, vh = np.linalg.svd(_dense(s), full_matrices=False)
     elif not terms:
-        return NormBound(0.0), np.zeros((0 if s.is_l2 else base.cols, 0))
+        return NormBound(0.0), np.zeros((base.cols, 0))
     else:
-        if s.is_l2:
-            support = sorted(_term_support(s))
-            rows = cols = None
-
-            def col(v: Vec, _) -> np.ndarray:
-                entries = dict(v.entries)
-                return np.array([entries.get(i, 0j) for i in support])
-        else:
-            (rows, cols), col = base.array.shape, Vec.dense
-        qx, rx = np.linalg.qr(np.column_stack([col(t.left, cols) for t in terms]))
-        ry = np.linalg.qr(np.column_stack([col(t.right, rows) for t in terms]), mode="r")
+        rows, cols = base.array.shape
+        qx, rx = np.linalg.qr(np.column_stack([t.left.dense(cols) for t in terms]))
+        ry = np.linalg.qr(np.column_stack([t.right.dense(rows) for t in terms]), mode="r")
         _, sv, wh = np.linalg.svd((ry * np.array([t.coeff for t in terms])) @ rx.conj().T)
         vh = wh @ qx.conj().T
     k = int(np.count_nonzero(sv > RANK_TOL * max(1.0, sv[0])))

@@ -305,7 +305,7 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     if base.value <= NULL_TOL:
         raise ValueError("bounded_below_perturbation requires m(T) > 0")
     res = _positive_construction(parts.modulus, epsilon, base, prefix)
-    s = compose_operators(parts.isometry, res.perturbation)  # A's tail is the constant 0
+    s = compose_operators(parts.isometry, res.perturbation)  # maps A's one term to one term
     if len(getattr(s, "terms", ())) != 1:
         raise ArithmeticError("composed perturbation is not rank one")
     return replace(res, perturbation=s, case=PerturbationCase.BOUNDED_BELOW_RANK_ONE)

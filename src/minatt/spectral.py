@@ -379,7 +379,7 @@ def polar(op: OperatorRep) -> PolarParts:
 
 
 def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentCertificate | None]:
-    """polar(T) and, given a prefix, m(|T|); a matrix's is read off the SVD that built |T|."""
+    """polar(T) and, given a prefix, m(|T|) = m(T); a matrix's is read off the SVD of T."""
     bt = block_tail(op) if op.is_l2 else None
     arr = _dense(op) if bt is None else bt.block
     u, s, vh = np.linalg.svd(arr)
@@ -392,9 +392,9 @@ def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentC
     parts = PolarParts(isometry, _modulus_from_svd(bt, s, vh))
     if prefix is None:
         return parts, None
-    if bt is None:  # |T| = V* diag(s) V, so T's right factor is |T|'s
-        return parts, _matrix_certificate(_dense(parts.modulus), s, vh)
-    return parts, minimum_modulus(parts.modulus, prefix=prefix)
+    if bt is None:
+        return parts, _matrix_certificate(arr, s, vh)
+    return parts, minimum_modulus(op, prefix=prefix)
 
 
 # ---------------------------------------------------------------------------

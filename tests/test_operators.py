@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from minatt.operators import (
+    BlockTail,
     ConvergesTo,
     DeclaredAccumulation,
     DiagonalOp,
@@ -467,6 +468,40 @@ def test_block_tail_round_trip_preserves_action():
         x = Vec.basis(i)
         np.testing.assert_allclose(rebuilt.apply(x).dense(12), op.apply(x).dense(12),
                                    atol=1e-12)
+    # random blocks come back within a few ulps of each entry, however far
+    # below the largest it sits: rank-deficient, with a zero column, with a
+    # column equal to the tail's, and with entries from 1e-12 to 1e6
+    rng = np.random.default_rng(RNG_SEED)
+    support = (2, 5, 9, 40, 41, 300)
+    k = len(support)
+    tail = named_diagonal("inv_n").seq
+    diag = tail.values_at(np.array(support))
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    zero_col, tail_col = rand(k, k), rand(k, k)
+    zero_col[:, 1] = 0.0
+    tail_col[:, 2] = 0.0
+    tail_col[2, 2] = diag[2]
+    blocks = [rand(k, 2) @ rand(2, k), zero_col, tail_col,
+              rand(k, k) * 10.0 ** rng.uniform(-12, 6, (k, k))]
+    for block in blocks:
+        back = block_tail(block_tail_op(BlockTail(support, block, tail)), support).block
+        bound = 4 * np.finfo(float).eps * (np.abs(block) + np.abs(np.diag(diag)))
+        assert np.all(np.abs(back - block) <= bound)
+
+
+def test_add_operators_keeps_a_term_far_below_the_largest():
+    # a term is kept however small beside the diagonal or the other terms
+    e3 = Vec.basis(3)
+    tiny = SumOp(DiagonalOp(constant_seq(0.0)), 0.0, (RankOneTerm(1e-14, e3, e3),))
+    big = add_rank_one(named_diagonal("linear_n"), RankOneTerm(1e5, Vec.basis(5), Vec.basis(5)))
+    small = SumOp(DiagonalOp(constant_seq(0.0)), 0.0, (RankOneTerm(1e-9, e3, e3),))
+    for op, term, entry in ((named_diagonal("one_plus_inv_n"), tiny, 4.0 / 3.0),
+                            (big, small, 3.0)):
+        got = add_operators(op, term).apply(e3).dense(3)[2] - entry
+        coeff = term.terms[0].coeff
+        assert abs(got - coeff) <= 2 * np.finfo(float).eps * entry
 
 
 def test_block_tail_requires_l2():

@@ -21,6 +21,7 @@ from minatt.operators import (
     Vec,
     add_operators,
     add_rank_one,
+    constant_seq,
     diagonal_seq,
     named_diagonal,
     scale_shift,
@@ -299,6 +300,19 @@ def test_bounded_below_rank_one_construction():
     assert doc["variant"] == "sum" and len(doc["terms"]) == 1
 
 
+def test_bounded_below_cap_at_a_spread_block_eigenvector_is_one_term():
+    # |T| = 2 I - 1.5 <., u> u is least at u, spread over three coordinates;
+    # V A maps the cap's one term to one term, whatever V does on the block
+    u = Vec(((1, 0.6), (2, 0.0 + 0.48j), (4, -0.64)), None)
+    op = scale_shift(add_rank_one(DiagonalOp(constant_seq(2.0)), RankOneTerm(-1.5, u, u)),
+                     1j, 0.0)
+    res = bounded_below_perturbation(op, 0.1)
+    assert len(res.witness.witness.entries) >= 3
+    assert isinstance(res.perturbation, SumOp) and len(res.perturbation.terms) == 1
+    assert abs(res.witness.value - 0.4) < 1e-12
+    assert verify_perturbation(op, res).passed
+
+
 def test_bounded_below_requires_positive_minimum():
     with pytest.raises(ValueError):
         bounded_below_perturbation(named_diagonal("inv_n"), 0.5)
@@ -430,6 +444,27 @@ def test_finite_rank_certificates_scan_no_tail(monkeypatch):
     assert res.case is PerturbationCase.VANISHING_INJECTIVE
     assert verify_perturbation(op, res).passed
     assert len(scans) == 1 and all(math.isfinite(bound) for _, bound in scans)
+
+
+def test_l2_construct_and_verify_take_no_qr(monkeypatch):
+    # on l2 ||S|| is all the certificate needs of S: no basis of range(S*)
+    # is formed, and the diagonal gap route needs no graph basis either
+    calls = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda a, *args, **kw: calls.append(np.shape(a)) or real(a, *args, **kw))
+    op = named_diagonal("one_plus_inv_n")
+    cases = []
+    for build, target in ((attainment_perturbation, op),
+                          (attainment_perturbation, named_diagonal("inv_n")),
+                          (bounded_below_perturbation, op),
+                          (attainment_perturbation, scale_shift(op, -1.0, 0.0))):
+        res = build(target, 0.1)
+        assert verify_perturbation(target, res).passed
+        cases.append(res.case)
+    assert cases == [PerturbationCase.POSITIVE_BOUNDED_BELOW, PerturbationCase.VANISHING_INJECTIVE,
+                     PerturbationCase.BOUNDED_BELOW_RANK_ONE, PerturbationCase.POLAR_COMPOSED]
+    assert calls == []
 
 
 def test_case1_at_n_1e6_reads_no_prefix_for_the_gap():

@@ -1,6 +1,7 @@
 """Minimum modulus, square roots, polar parts and spectral reports."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -16,13 +17,16 @@ from minatt.operators import (
     RankOneTerm,
     SumOp,
     Vec,
+    add_operators,
     add_rank_one,
     block_tail,
+    compose_operators,
     list_generators,
     named_diagonal,
     scale_shift,
 )
 from minatt.operators import _MAP_BLOCK
+from minatt.gap import defect_resolvent
 from minatt.spectral import (
     DETECT_WINDOW,
     MATCH_TOL,
@@ -229,8 +233,50 @@ def test_polar_takes_one_svd_of_the_operator(monkeypatch):
                (RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5)),))
     block = block_tail(op).block
     polar(op)
-    # the other calls rebuild the rank-one terms of the two returned parts
+    # any other call would be a decomposition of some other matrix
     assert sum(a.shape == block.shape and np.array_equal(a, block) for a in seen) == 1
+
+
+def test_polar_reads_m_of_modulus_off_the_operator():
+    # ||Tx|| = || |T|x ||, so m(|T|) read off T has the value and witness of
+    # m(|T|) read off |T|; the l2 T is not positive, so it takes the polar path
+    l2 = add_rank_one(scale_shift(named_diagonal("inv_n"), 1.0, -2.0),
+                      RankOneTerm(0.3, Vec.basis(5), Vec.basis(7)))
+    assert not spectral._positivity(l2)[0]
+    rng = np.random.default_rng(23)
+    matrix = MatrixOp(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
+    indices = []
+    for op in (l2, matrix):
+        _, base = spectral._polar(op, 1000)
+        expect = minimum_modulus(modulus(op), prefix=1000)
+        assert abs(base.value - expect.value) <= 1e-12 * max(1.0, expect.value)
+        assert base.attained and base.witness_index == expect.witness_index
+        indices.append(base.witness_index)
+    assert indices == [1, None]
+
+
+def test_rebuilding_blocks_takes_no_svd(monkeypatch):
+    # every l2 result is rebuilt by block_tail_op; only the operations that
+    # need a decomposition of the block itself take one
+    callers = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    r = math.sqrt(0.5)
+    x = Vec(((1, r), (2, r)), None)
+    op = add_rank_one(scale_shift(named_diagonal("one_plus_inv_n"), -1.0, 0.0),
+                      RankOneTerm(0.3, x, Vec.basis(3)))
+    positive = add_rank_one(named_diagonal("one_plus_inv_n"), RankOneTerm(0.5, x, x))
+    add_operators(op, op)
+    compose_operators(op, op)
+    square_root(positive)
+    modulus(op)
+    polar(op)
+    defect_resolvent(op)
+    assert callers and "block_tail_op" not in callers
 
 
 def test_polar_of_negated_diagonal_uses_unimodular_phase():
