@@ -69,7 +69,7 @@ SAMPLE = 4096
 # when at least MIN_CLUSTER eigenvalues land within +-DETECT_WINDOW of it.
 DETECT_WINDOW = 2.5e-4
 MIN_CLUSTER = 25
-_COUNT_CHUNK = 1 << 14  # sorted values per chunk in _window_counts
+_COUNT_CHUNK = 1 << 14  # sorted values per slice in _detect_accumulation
 
 
 @dataclass(frozen=True)
@@ -494,59 +494,84 @@ def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Spec
     return _spectrum_report(op, _sorted_eigs(op, prefix), prefix)
 
 
-def _window_counts(v: np.ndarray, w: float) -> np.ndarray:
-    """``searchsorted(v, v + w, "right") - searchsorted(v, v - w, "left")`` for sorted ``v``,
-    chunk by chunk: the keys are sorted, so a chunk's keys are searched for only in the
-    slice of ``v`` between its first and its last key, and no key array spans ``v``."""
-    counts = np.empty(v.size, dtype=np.intp)
-    for lo in range(0, v.size, _COUNT_CHUNK):
-        chunk, found = v[lo:lo + _COUNT_CHUNK], []
-        for keys, side in ((chunk + w, "right"), (chunk - w, "left")):
-            first, last = np.searchsorted(v, keys[[0, -1]], side=side)
-            found.append(first + np.searchsorted(v[first:last], keys, side=side))
-        counts[lo:lo + chunk.size] = found[0] - found[1]
-    return counts
+def _window_counts(v: np.ndarray, keys: np.ndarray, w: float) -> np.ndarray:
+    """``searchsorted(v, keys + w, "right") - searchsorted(v, keys - w, "left")`` for sorted ``v``
+    and ``keys``, each shift searched for only in the slice of ``v`` between its end keys."""
+    found = []
+    for shifted, side in ((keys + w, "right"), (keys - w, "left")):
+        first, last = np.searchsorted(v, shifted[[0, -1]], side=side) if keys.size else (0, 0)
+        found.append(first + np.searchsorted(v[first:last], shifted, side=side))
+    return found[0] - found[1]
 
 
-def _detect_accumulation(v: np.ndarray) -> tuple[float, ...]:
-    """Accumulation candidates from sorted raw eigenvalues, no declarations used.
-
-    A value is flagged when >= MIN_CLUSTER eigenvalues fall within
-    +-DETECT_WINDOW; each run of flagged values contributes its densest
-    value, the lowest one on a tie.
-    """
-    counts = _window_counts(v, DETECT_WINDOW)
-    flagged = np.flatnonzero(counts >= MIN_CLUSTER)
-    starts, ends = _runs(v[flagged], DETECT_WINDOW)
-    if starts.size == 0:
-        return ()
-    counts = counts[flagged]
-    peak = np.repeat(np.maximum.reduceat(counts, starts), ends - starts)
-    hits = np.flatnonzero(counts == peak)
+def _slice_runs(vals: np.ndarray, counts: np.ndarray) -> tuple | None:
+    """The first and the last flagged value of one sorted slice and, per run of flagged values
+    in it, the peak count and the first value at it; None when nothing in it is flagged."""
+    flagged = counts >= MIN_CLUSTER
+    vals, counts = vals[flagged], counts[flagged]
+    if vals.size == 0:
+        return None
+    starts, ends = _runs(vals, DETECT_WINDOW)
+    peaks = np.maximum.reduceat(counts, starts)
+    hits = np.flatnonzero(counts == np.repeat(peaks, ends - starts))
     # every run holds a hit, so the first hit at or after its start is its own
-    return tuple(v[flagged[hits[np.searchsorted(hits, starts)]]].tolist())
+    firsts = vals[hits[np.searchsorted(hits, starts)]]
+    return vals[0], vals[-1], list(zip(peaks.tolist(), firsts.tolist()))
+
+
+def _detect_accumulation(v: np.ndarray, owns: list[np.ndarray]) -> list[tuple[float, ...]]:
+    """Accumulation candidates from raw eigenvalues, no declarations used, one tuple per side.
+
+    A side's values are sorted ``v`` with its sorted own values inserted where
+    ``searchsorted(v, own)`` puts them.  A value is flagged when >= MIN_CLUSTER of them fall
+    within +-DETECT_WINDOW; each run of flagged values contributes its densest value, the
+    lowest one on a tie.  ``v`` is walked in ``_COUNT_CHUNK`` slices whose counts against ``v``
+    serve every side; own values count only near a slice, and no array outgrows a slice.
+    """
+    if v.size == 0:
+        return [_detect_accumulation(own, [own[:0]])[0] if own.size else () for own in owns]
+    w, at = DETECT_WINDOW, [np.searchsorted(v, own) for own in owns]
+    own_counts = [_window_counts(v, own, w) + _window_counts(own, own, w) for own in owns]
+    found, last = [[] for _ in owns], [None] * len(owns)  # per side: (peak, value) per run
+    for lo in range(0, v.size, _COUNT_CHUNK):
+        chunk = v[lo:lo + _COUNT_CHUNK]
+        hi = lo + chunk.size if lo + chunk.size < v.size else v.size + 1  # the last takes the rest
+        shared, plain, edges = _window_counts(v, chunk, w), False, (chunk[0] - w, chunk[-1] + w)
+        for s, own in enumerate(owns):
+            a, b = np.searchsorted(at[s], (lo, hi))  # own values merged into this slice
+            near = own[np.searchsorted(own, edges[0]):np.searchsorted(own, edges[1], "right")]
+            if a < b or near.size:
+                here = _slice_runs(np.insert(chunk, at[s][a:b] - lo, own[a:b]),
+                                   np.insert(shared + _window_counts(near, chunk, w),
+                                             at[s][a:b] - lo, own_counts[s][a:b]))
+            else:  # the same for every side that adds nothing to this slice
+                here = plain = _slice_runs(chunk, shared) if plain is False else plain
+            if here is None:
+                continue
+            first, end, runs = here
+            if found[s] and not first - last[s] > w:  # the last run goes on, first peak wins
+                found[s][-1], runs = max(found[s][-1], runs[0], key=lambda run: run[0]), runs[1:]
+            found[s], last[s] = found[s] + runs, end
+    return [tuple(value for _, value in runs) for runs in found]
 
 
 def _detected_both(op: OperatorRep, perturbed: OperatorRep, n: int) -> list[tuple[float, ...]]:
     """``_detect_accumulation`` of each side's sorted n-truncation eigenvalues.  Off the union
-    of their supports the sides share a tail, evaluated and sorted once; each side merges in its
-    own values (block eigenvalues, tail entries on the rest of the union), then takes them out."""
+    of their supports the sides share a tail, evaluated and sorted once; each side's own k
+    values (block eigenvalues, tail entries on the rest of the union) join it in the one pass."""
     if not op.is_l2:
-        return [_detect_accumulation(_sorted_eigs(side, n)) for side in (op, perturbed)]
+        return [_detect_accumulation(_sorted_eigs(s, n), [np.zeros(0)])[0] for s in (op, perturbed)]
     shared = _common_support(op, perturbed)[0]
     eigs = _with_tail(np.zeros(0), shared, n)
     eigs.sort()
-    detected = []
+    owns = []
     for side in (op, perturbed):
         support = block_tail(side).support
         rest = np.array([i for i in shared.support if i <= n and i not in support], dtype=np.int64)
         # n = 0: the side's block eigenvalues alone
-        own = np.sort(np.concatenate((_truncation_eigs(side, 0), shared.tail.values_at(rest).real)))
-        at = np.searchsorted(eigs, own)
-        eigs = np.insert(eigs, at, own)  # rebinding drops the tail: one N-long array at a time
-        detected.append(_detect_accumulation(eigs))
-        eigs = np.delete(eigs, at + np.arange(own.size))
-    return detected
+        owns.append(np.sort(np.concatenate((_truncation_eigs(side, 0),
+                                            shared.tail.values_at(rest).real))))
+    return _detect_accumulation(eigs, owns)
 
 
 def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX) -> WeylReport:
@@ -556,7 +581,7 @@ def weyl_check(op: OperatorRep, terms, *, prefix: int = DEFAULT_PREFIX) -> WeylR
     report re-detects accumulation points from raw truncation eigenvalues
     on both sides and checks the declared points are recovered to within
     ``MATCH_TOL`` (vacuous when the essential set is empty).  An l2 prefix
-    is evaluated and sorted once for both sides, and nothing is clustered.
+    is evaluated, sorted and walked once for both sides; nothing is clustered.
     """
     perturbed = op
     for t in terms:
