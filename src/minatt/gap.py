@@ -19,10 +19,10 @@ differ only in their dense kernel:
 The kernels share no code.  What the routes share on purpose sits in
 ``_gap``: matrices go to the kernel whole, two l2 operators split as direct
 sums over the union of their supports so the kernel takes the blocks, and
-the diagonal tails are certified once for all routes.
-Unbounded operators are fine on every l2 route; that is the point of
-using the gap rather than the norm distance.  A matrix perturbation's
-certificate gap(T + S, T) is taken from range(S*) alone (``_perturbation_gap``).
+the diagonal tails are certified once for all routes, or not read at all
+when they are one sequence.  Unbounded operators are fine on every l2
+route; that is the point of using the gap rather than the norm distance.
+A matrix perturbation's gap(T + S, T) comes from range(S*) (``_perturbation_gap``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .operators import (
     tail_diverges,
 )
 from .operators import (_adjoint_range, _chordal, _chordal_to_infinity, _chordal_window_dev,
-                        _common_support, _dense, _spectral_norm)
+                        _common_support, _dense, _one_tail, _spectral_norm)
 
 __all__ = [
     "GapResult",
@@ -365,7 +365,7 @@ def _certify_tail(block_part: float, bs: BlockTail, bt: BlockTail,
 _KERNELS = {"graph": _graph_gap, "closed_form": _closed_form_dense, "diagonal": _diagonal_gap}
 
 
-def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int | None) -> GapResult:
+def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int) -> GapResult:
     """gap(s, t) by ``route``: "graph", "closed_form", "diagonal" or "auto".
 
     Matrices of one shape go to the kernel whole, "auto" to the graph one.
@@ -373,8 +373,8 @@ def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int | None) -> GapR
     each is the direct sum of its block's graph and the tail's 1 x 1 graphs;
     the gap of direct sums is the larger of the summands' gaps.  "auto" takes
     the diagonal kernel when both blocks are diagonal, the graph one
-    otherwise.  ``prefix`` None skips the tail certificate: the caller knows
-    the l2 tails are entrywise identical.
+    otherwise.  Tails that are one sequence (``_one_tail``) have gap 0, so
+    no tail entry is read; others are certified over ``prefix``.
     """
     if not (s.is_l2 and t.is_l2):
         route = "graph" if route == "auto" else route
@@ -391,9 +391,8 @@ def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int | None) -> GapR
             raise ValueError("diagonal route needs diagonally aligned operators")
         route = "diagonal" if aligned else "graph"
     block_part = _KERNELS[route](bs.block, bt.block)
-    if prefix is None:
-        return GapResult(block_part, route, None, FLOAT_SLACK)
-    value, tail_bound = _certify_tail(block_part, bs, bt, prefix)
+    value, tail_bound = ((block_part, FLOAT_SLACK) if _one_tail(bs.tail, bt.tail)
+                         else _certify_tail(block_part, bs, bt, prefix))
     return GapResult(value, route, prefix, tail_bound)
 
 
@@ -408,9 +407,8 @@ def _perturbation_gap(t: OperatorRep, s: OperatorRep, perturbed: OperatorRep,
     I + T*T squares T's condition number, so a matrix too large for it
     compares whole graphs.
     """
-    if t.is_l2:  # where S's tail is the constant 0, T + S has T's tail entry for entry
-        skip = block_tail(s).tail.const_value == 0
-        return operator_norm(s, prefix=prefix), _gap(perturbed, t, "auto", None if skip else prefix)
+    if t.is_l2:  # where S's tail is 0, T + S keeps T's tail, so no tail entry is read
+        return operator_norm(s, prefix=prefix), _gap(perturbed, t, "auto", prefix)
     norm_s, basis = _adjoint_range(s)
     dp, dt = _dense(perturbed), _dense(t)
     if np.finfo(float).eps * max(np.linalg.norm(dp), np.linalg.norm(dt)) ** 2 > ROUTE_AGREE_TOL:
@@ -432,11 +430,13 @@ def gap_upper_bound_check(s: OperatorRep, t: OperatorRep, *,
     """Measure the gap and the norm distance and compare them.
 
     Both sides are computed, not assumed: the gap by the best available
-    route, the difference norm by exact block plus certified tail.  An
-    unbounded difference is rejected (UnboundedOperatorError) since the
-    inequality has nothing to say then.
+    route, the difference norm by exact block plus certified tail, or from
+    the blocks alone when the l2 tails are one (``_one_tail``), unbounded or
+    not.  An unbounded difference is rejected (UnboundedOperatorError).
     """
     gap = _gap(s, t, "auto", prefix)
-    diff = operator_norm(add_operators(s, scale_shift(t, -1.0, 0.0)), prefix=prefix)
+    bs, bt = _common_support(s, t) if s.is_l2 else (None, None)
+    diff = (NormBound(_spectral_norm(bs.block - bt.block)) if bs and _one_tail(bs.tail, bt.tail)
+            else operator_norm(add_operators(s, scale_shift(t, -1.0, 0.0)), prefix=prefix))
     margin = diff.value + diff.tail_slack - gap.value
     return GapBoundReport(gap, diff, margin, margin >= -ROUTE_AGREE_TOL)

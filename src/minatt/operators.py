@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -681,13 +682,33 @@ class SumOp(OperatorRep):
     def is_l2(self) -> bool:
         return self.base.is_l2
 
+    @cached_property
+    def diagonal(self) -> DiagSeq:
+        """The l2 diagonal base plus the shift, built once per operator so that
+        every block-tail form of it holds one tail object (``_one_tail``)."""
+        seq, shift = self.base.seq, self.shift
+        return seq if shift == 0 else map_seq(seq, lambda a: a + shift, at_infinity="diverges")
+
     def apply(self, x: Vec) -> Vec:
+        # the shift and each term's coeff * <x, left> * right go into one
+        # accumulator in the order of the sum, with the dimension checks and
+        # zero drops of Vec.add after each part, so the result is the fold's
         out = self.base.apply(x)
-        if self.shift != 0:
-            out = out.add(x.scale(self.shift))
-        for t in self.terms:
-            out = out.add(t.apply(x))
-        return out
+        dim, acc, xs = out.dim, dict(out.entries), dict(x.entries)
+        parts = [(self.shift, x)] if self.shift != 0 else []
+        parts += [(t.coeff * sum(xs[i] * w.conjugate() for i, w in t.left.entries if i in xs),
+                   t.right) for t in self.terms]
+        for c, v in parts:
+            c = _as_scalar(c)
+            scaled = [(i, z) for i, z in ((i, c * w) for i, w in v.entries) if z != 0]
+            dim = _merge_dims(dim, v.dim, max(max(acc, default=0), scaled[-1][0] if scaled else 0))
+            for i, z in scaled:
+                total = acc.get(i, 0j) + z
+                if total != 0:
+                    acc[i] = total
+                else:
+                    del acc[i]
+        return Vec(tuple(sorted(acc.items())), dim)
 
     def adjoint(self) -> "SumOp":
         return SumOp(self.base.adjoint(), self.shift.conjugate(),
@@ -810,9 +831,7 @@ def block_tail(op: OperatorRep, support=None) -> BlockTail:
         entries = dict(v.entries)
         return np.array([entries.get(i, 0j) for i in support], dtype=complex)
 
-    shift, tail = op.shift, op.base.seq
-    if shift != 0:
-        tail = map_seq(tail, lambda a: a + shift, at_infinity="diverges")
+    tail = op.diagonal
     block = np.diag(tail.values_at(np.array(support, dtype=np.int64)))
     for t in op.terms:
         block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
@@ -909,7 +928,11 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
             raise ValueError("shape mismatch")
         return MatrixOp(da + db)
     bta, btb = _common_support(a, b)
-    tail = zip_seqs(bta.tail, btb.tail, np.add, at_infinity="diverges")
+    # a zero tail adds nothing, so the other summand's tail object is kept:
+    # T + S then shares T's tail whenever S's tail is 0 (``_one_tail``)
+    ta, tb = bta.tail, btb.tail
+    tail = (ta if tb.const_value == 0 else tb if ta.const_value == 0
+            else zip_seqs(ta, tb, np.add, at_infinity="diverges"))
     return block_tail_op(BlockTail(bta.support, bta.block + btb.block, tail))
 
 
@@ -917,6 +940,13 @@ def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTai
     """Block-tail forms of two l2 operators, both on the union of their supports."""
     support = sorted(_term_support(a) | _term_support(b))
     return block_tail(a, support), block_tail(b, support)
+
+
+def _one_tail(a: DiagSeq, b: DiagSeq) -> bool:
+    """Whether two tails are one sequence: the same object, or constants of
+    one value.  It keys on identity and reads no entry, so the entries agree
+    whatever the declared tails say."""
+    return a is b or (a.const_value is not None and a.const_value == b.const_value)
 
 
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:

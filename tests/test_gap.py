@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from minatt.operators import (
     DEFAULT_PREFIX,
     DiagonalOp,
+    DiagSeq,
     MatrixOp,
     RankOneTerm,
     SumOp,
@@ -20,13 +21,17 @@ from minatt.operators import (
     compose_operators,
     constant_seq,
     named_diagonal,
+    operator_from_json,
     operator_norm,
     scale_shift,
     truncate,
 )
-from minatt.operators import _adjoint_range
+from minatt.operators import _adjoint_range, _common_support
+from minatt import gap
 from minatt.gap import (
+    _KERNELS,
     GapResult,
+    _certify_tail,
     _closed_form_dense,
     _gap,
     _graph_gap,
@@ -38,6 +43,7 @@ from minatt.gap import (
     operator_gap_graph,
     subspace_gap,
 )
+from minatt.scenario import load_config, run_scenario
 
 INV_SQRT2 = math.sqrt(0.5)
 
@@ -416,6 +422,109 @@ def test_graph_truncations_see_exactly_the_scanned_prefix():
 
 
 # ---------------------------------------------------------------------------
+# Pairs that share one tail
+# ---------------------------------------------------------------------------
+
+N_LONG = 1_000_000
+
+
+def _tail_entries(monkeypatch, support=(5,)):
+    """Entries any sequence hands out off ``support``, counted at DiagSeq.values_at."""
+    seen = [0]
+    real = DiagSeq.values_at
+
+    def spy(self, indices):
+        seen[0] += int(np.count_nonzero(~np.isin(indices, support)))
+        return real(self, indices)
+    monkeypatch.setattr(DiagSeq, "values_at", spy)
+    return seen
+
+
+def _scanned(s, t, route, prefix):
+    """The GapResult the tail scan certifies for an l2 pair, run directly."""
+    bs, bt = _common_support(s, t)
+    value, bound = _certify_tail(_KERNELS[route](bs.block, bt.block), bs, bt, prefix)
+    return GapResult(value, route, prefix, bound)
+
+
+def _bumped(op, c, index=5):
+    return add_rank_one(op, RankOneTerm(c, Vec.basis(index), Vec.basis(index)))
+
+
+@pytest.mark.parametrize("name, c", [("one_plus_inv_n", -0.6), ("linear_n", 0.7)])
+def test_pairs_with_one_tail_read_no_tail_entry(monkeypatch, name, c):
+    # the bump and the bare diagonal share one DiagSeq off e_5, where every
+    # 1 x 1 summand of the two graphs is the same, so the tail's gap is 0
+    t = named_diagonal(name)
+    s = _bumped(t, c)
+    seen = _tail_entries(monkeypatch)
+    results = [operator_gap_graph(s, t, prefix=N_LONG),
+               operator_gap_closed_form(s, t, prefix=N_LONG),
+               operator_gap_diagonal(s, t, prefix=N_LONG),
+               _gap(s, t, "auto", N_LONG)]
+    report = gap_upper_bound_check(s, t, prefix=N_LONG)
+    assert seen[0] == 0
+    monkeypatch.undo()
+    assert [r.route for r in results] == ["graph", "closed_form", "diagonal", "diagonal"]
+    for res in results:
+        assert res == _scanned(s, t, res.route, N_LONG)
+    assert report.gap == results[-1]
+    assert abs(report.diff_norm.value - abs(c)) <= 4 * np.spacing(abs(c))
+    assert report.diff_norm.tail_slack == 0.0 and report.holds
+
+
+def test_scenario_gap_over_one_generator_reads_no_tail_entry(monkeypatch):
+    base = {"variant": "diagonal", "generator": "one_plus_inv_n"}
+    routes = ("auto", "graph", "closed_form", "diagonal")
+    config = load_config({
+        "operators": {"drop": base,
+                      "bumped": {"variant": "sum", "base": base, "shift": 0.0, "terms": [
+                          {"coeff": -0.6, "left": {"basis": 5}, "right": {"basis": 5}}]}},
+        "defaults": {"truncationN": N_LONG},
+        "experiments": [{"kind": "gap", "name": route, "left": "bumped", "right": "drop",
+                         "route": route} for route in routes]})
+    seen = _tail_entries(monkeypatch)
+    records = run_scenario(config).records
+    assert seen[0] == 0
+    monkeypatch.undo()
+    s, t = config.operators["bumped"], config.operators["drop"]
+    for record in records:
+        assert record.passed
+        route = "diagonal" if record.name == "auto" else record.name
+        assert record.detail == {route: _scanned(s, t, route, N_LONG).to_json_dict()}
+
+
+def test_tails_that_are_not_one_sequence_are_scanned(monkeypatch):
+    # equal entries are not enough: two maps of one generator are two
+    # sequences, and so is a registry generator reloaded with its own tail
+    t = named_diagonal("one_plus_inv_n")
+    reloaded = operator_from_json({"variant": "diagonal", "generator": "one_plus_inv_n",
+                                   "tail": {"kind": "declared", "points": [1.0]}})
+    n = 10_000
+    for s, other in ((_bumped(scale_shift(t, 1.0, 0.0), -0.6), scale_shift(t, 1.0, 0.0)),
+                     (_bumped(reloaded, -0.6), t)):
+        seen = _tail_entries(monkeypatch)
+        res = _gap(s, other, "auto", n)
+        assert seen[0] >= 2 * (n - 1)
+        monkeypatch.undo()
+        assert res == _scanned(s, other, "diagonal", n)
+
+
+def test_finite_rank_operators_over_separate_zero_bases_take_the_block_rule(monkeypatch):
+    a = SumOp(named_diagonal("const:0"), 0j, (RankOneTerm(0.5, Vec.basis(2), Vec.basis(3)),))
+    b = SumOp(named_diagonal("const:0"), 0j, (RankOneTerm(-0.25, Vec.basis(3), Vec.basis(3)),))
+    assert a.base.seq is not b.base.seq
+    scans = []
+    monkeypatch.setattr(gap, "_certify_tail", lambda *args: scans.append(args))
+    res = _gap(a, b, "auto", N_LONG)
+    report = gap_upper_bound_check(a, b, prefix=N_LONG)
+    assert scans == []
+    monkeypatch.undo()
+    assert res.route == "graph" and res == _scanned(a, b, "graph", N_LONG)
+    assert report.diff_norm.value == np.linalg.norm([[0.0, 0.0], [0.5, 0.25]], 2)
+
+
+# ---------------------------------------------------------------------------
 # Defect resolvents
 # ---------------------------------------------------------------------------
 
@@ -496,6 +605,16 @@ def test_gap_is_bounded_by_norm_distance_l2():
     rep = gap_upper_bound_check(s, t)
     assert rep.holds
     assert abs(rep.diff_norm.value - 0.25) < 1e-12
+
+
+def test_gap_bound_check_on_one_unbounded_tail():
+    # diag(n) bumped on e_5 minus diag(n) is the bounded bump, although its
+    # tail z + (-z) would be declared divergent; the next test keeps twice
+    # diag(n) minus diag(n), which is diag(n) again, rejected
+    lin = named_diagonal("linear_n")
+    rep = gap_upper_bound_check(_bumped(lin, 0.7), lin)
+    assert abs(rep.diff_norm.value - 0.7) <= 4 * np.spacing(0.7)
+    assert rep.diff_norm.tail_slack == 0.0 and rep.holds
 
 
 def test_gap_bound_check_rejects_unbounded_difference():

@@ -383,6 +383,66 @@ def test_sum_apply_frozen_example():
     np.testing.assert_allclose(out.dense(4)[3], 0.5)
 
 
+def _apply_by_fold(op: SumOp, x: Vec) -> Vec:
+    """SumOp.apply as one Vec.add per part: the base, the shift, each term."""
+    out = op.base.apply(x)
+    if op.shift != 0:
+        out = out.add(x.scale(op.shift))
+    for t in op.terms:
+        out = out.add(t.apply(x))
+    return out
+
+
+def test_sum_apply_builds_one_vec_and_matches_the_fold(monkeypatch):
+    rng = np.random.default_rng(5)
+    where = np.sort(rng.choice(np.arange(1, 1001), 200, replace=False)).tolist()
+    u = rng.standard_normal(200) + 1j * rng.standard_normal(200)
+    u = Vec(tuple(zip(where, (u / np.linalg.norm(u)).tolist())))
+    t = named_diagonal("one_plus_inv_n")
+    op = scale_shift(add_operators(t, add_rank_one(zero_like(t), RankOneTerm(-0.9, u, u))),
+                     1.0, 0.25)
+    assert len(op.terms) == 200 and op.shift == 0.25
+    x = Vec(tuple((i, complex(j % 3 - 1, 1)) for j, i in enumerate(where[::2] + [2001])))
+    built = [0]
+    real = Vec.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        real(self)
+    monkeypatch.setattr(Vec, "__post_init__", counting)
+    got = op.apply(x)
+    assert built[0] == 2  # the base's image and the sum, whatever the number of terms
+    monkeypatch.undo()
+    assert repr(got) == repr(_apply_by_fold(op, x))
+
+
+def test_sum_apply_keeps_the_fold_on_cancellation_and_dimensions():
+    # entry 1 cancels against the shift and entry 2 against a term, so each
+    # leaves the accumulator before a later part brings it back; the terms'
+    # vectors have no dim while the matrix's image has one
+    e1, e2 = Vec.basis(1), Vec.basis(2)
+    op = SumOp(MatrixOp(np.diag([1.0, 2.0, 3.0])), -1.0,
+               (RankOneTerm(1.0, e1, e2), RankOneTerm(-1.0, e1, e2),
+                RankOneTerm(0.5j, e1, e2), RankOneTerm(-0.0, e1, Vec.basis(1, 3))))
+    x = Vec(((1, 1.0), (3, -2.0)), 3)
+    got = op.apply(x)
+    assert repr(got) == repr(_apply_by_fold(op, x))
+    assert got.entries == ((2, 0.5j), (3, -4 + 0j)) and got.dim == 3
+    wrong = add_rank_one(op, RankOneTerm(1.0, e1, Vec.basis(1, 4)))
+    for apply in (wrong.apply, lambda v: _apply_by_fold(wrong, v)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            apply(x)
+
+
+def test_adding_a_zero_tail_keeps_the_other_tail_object():
+    t = named_diagonal("one_plus_inv_n")
+    s = add_rank_one(zero_like(t), RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5)))
+    for total in (add_operators(t, s), add_operators(s, t)):
+        assert block_tail(total).tail is t.seq
+    np.testing.assert_array_equal(_dense_of(add_operators(t, s), 7),
+                                  _dense_of(t, 7) + _dense_of(s, 7))
+
+
 def test_matrix_rejects_vectors_past_its_columns():
     op = MatrixOp(np.eye(2))
     with pytest.raises(ValueError):

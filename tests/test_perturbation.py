@@ -425,18 +425,21 @@ def _tail_scans(monkeypatch):
 
 def test_finite_rank_certificates_scan_no_tail(monkeypatch):
     # S's tail is the constant 0 in Case 1, bounded below and GeneralVA over
-    # Case 1, so T + S and T share their tail entry for entry
+    # Case 1, so T + S and T share their tail entry for entry; a shifted T
+    # keeps one shifted tail object for all its forms
     op = named_diagonal("one_plus_inv_n")
     scans = _tail_scans(monkeypatch)
     cases = []
     for build, target in ((attainment_perturbation, op),
                           (bounded_below_perturbation, op),
-                          (attainment_perturbation, scale_shift(op, -1.0, 0.0))):
+                          (attainment_perturbation, scale_shift(op, -1.0, 0.0)),
+                          (attainment_perturbation, SumOp(op, 0.5))):
         res = build(target, 0.1)
         assert verify_perturbation(target, res).passed
         cases.append(res.case)
     assert cases == [PerturbationCase.POSITIVE_BOUNDED_BELOW,
-                     PerturbationCase.BOUNDED_BELOW_RANK_ONE, PerturbationCase.POLAR_COMPOSED]
+                     PerturbationCase.BOUNDED_BELOW_RANK_ONE, PerturbationCase.POLAR_COMPOSED,
+                     PerturbationCase.POSITIVE_BOUNDED_BELOW]
     assert scans == []
     # Case 3's S = (eps/2) I - cap is not of finite rank: its tail is scanned
     op = named_diagonal("inv_n")
