@@ -17,8 +17,8 @@ plain diagonal on the remaining coordinates; see :func:`block_tail`.  That
 split is what keeps norms, spectra and perturbation arithmetic exact
 downstream, at a cost set by the support, not by where it sits.  Only
 :class:`BlockTail` knows how the two parts interleave.  No operation here
-factorizes to rebuild terms, so none can drop one: :func:`block_tail_op`
-makes a term of each nonzero column, and compositions map terms one by one.
+factorizes to rebuild terms, so none can drop one: sums and products carry
+terms over one by one, and :func:`block_tail_op` makes one per column.
 """
 
 from __future__ import annotations
@@ -850,6 +850,11 @@ def block_tail_op(bt: BlockTail) -> OperatorRep:
     return SumOp(DiagonalOp(bt.tail), 0j, tuple(terms)) if terms else DiagonalOp(bt.tail)
 
 
+def _diagonal_terms(op: OperatorRep) -> tuple[DiagSeq, tuple[RankOneTerm, ...]]:
+    """The diagonal of an l2 operator, its shift included, and its rank-one terms."""
+    return (op.diagonal, op.terms) if isinstance(op, SumOp) else (op.seq, ())
+
+
 def _dense(op: OperatorRep) -> np.ndarray:
     """Materialise a finite-ambient operator."""
     if isinstance(op, MatrixOp):
@@ -866,9 +871,9 @@ def _dense(op: OperatorRep) -> np.ndarray:
 
 
 def _terms_only(op: OperatorRep) -> bool:
-    """Whether ``op`` is the sum of its rank-one terms: a zero base and no shift."""
+    """Whether a matrix ``op`` is the sum of its rank-one terms: a zero base and no shift."""
     base, shift = (op.base, op.shift) if isinstance(op, SumOp) else (op, 0)
-    return shift == 0 and (base.seq.const_value == 0 if base.is_l2 else not base.array.any())
+    return shift == 0 and not base.array.any()
 
 
 # ---------------------------------------------------------------------------
@@ -917,8 +922,8 @@ def zero_like(op: OperatorRep) -> OperatorRep:
 def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
     """Pointwise sum, kept inside the representable class.
 
-    l2 summands must have tails that combine exactly (shared root generator
-    or a constant); unrelated lazy tails are rejected rather than guessed.
+    On l2 the terms concatenate and the diagonals add: their tails must combine
+    exactly (a shared root or a constant), else they are rejected, not guessed.
     """
     if a.is_l2 != b.is_l2:
         raise ValueError("cannot add operators on different ambient spaces")
@@ -927,13 +932,12 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
         if da.shape != db.shape:
             raise ValueError("shape mismatch")
         return MatrixOp(da + db)
-    bta, btb = _common_support(a, b)
+    (da, ta), (db, tb) = _diagonal_terms(a), _diagonal_terms(b)
     # a zero tail adds nothing, so the other summand's tail object is kept:
     # T + S then shares T's tail whenever S's tail is 0 (``_one_tail``)
-    ta, tb = bta.tail, btb.tail
-    tail = (ta if tb.const_value == 0 else tb if ta.const_value == 0
-            else zip_seqs(ta, tb, np.add, at_infinity="diverges"))
-    return block_tail_op(BlockTail(bta.support, bta.block + btb.block, tail))
+    tail = (da if db.const_value == 0 else db if da.const_value == 0
+            else zip_seqs(da, db, np.add, at_infinity="diverges"))
+    return SumOp(DiagonalOp(tail), 0j, ta + tb) if ta + tb else DiagonalOp(tail)
 
 
 def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTail]:
@@ -949,47 +953,45 @@ def _one_tail(a: DiagSeq, b: DiagSeq) -> bool:
     return a is b or (a.const_value is not None and a.const_value == b.const_value)
 
 
+def _map_terms(a: OperatorRep, terms) -> tuple[RankOneTerm, ...]:
+    """a (c <., x> y) = c ||a y|| <., x> (a y / ||a y||) for each term, so the
+    terms stay rank-one terms; a term that a annihilates drops out."""
+    images = [(t, a.apply(t.right)) for t in terms]
+    sizes = [float(np.linalg.norm([v for _, v in ay.entries])) for _, ay in images]
+    return tuple(RankOneTerm(t.coeff * size, t.left, ay.scale(1.0 / size))
+                 for (t, ay), size in zip(images, sizes) if size > 0)
+
+
 def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> OperatorRep:
     """The composition a(b(x)), kept inside the representable class.
 
-    A b that is the sum of its rank-one terms (``_terms_only``) maps term by
-    term, on matrices and l2 alike, so its rank never grows.  Other matrices
-    multiply densely.  Other l2 operands both split over the union of their
-    supports, so blocks multiply densely and tails multiply entrywise.  A
-    divergent root sequence needs ``at_infinity`` to say where the product
-    of the two tails heads (a scalar or the string ``"diverges"``); bounded
-    roots need nothing.
+    b's terms map through a one by one (``_map_terms``), so no rank grows.  On
+    l2, a's terms c <., x> y become c <., D_b* x> y, no block is built, and the
+    diagonals multiply: a divergent root needs ``at_infinity`` (a scalar or
+    ``"diverges"``) for their product.  A matrix b multiplies densely unless ``_terms_only``.
     """
     if a.is_l2 != b.is_l2:
         raise ValueError("cannot compose operators on different ambient spaces")
-    if isinstance(b, SumOp) and _terms_only(b):
-        zero = zero_like(a)
-        if isinstance(zero, MatrixOp):  # a times a zero matrix has a's rows and its columns
-            if zero.cols != b.base.rows:
-                raise ValueError("shape mismatch in composition")
-            zero = MatrixOp(np.zeros((zero.rows, b.base.cols)))
-        # a (c <., x> y) = c ||a y|| <., x> (a y / ||a y||), so the terms stay
-        # rank-one terms; a term that a annihilates drops out
-        terms = []
-        for t in b.terms:
-            ay = a.apply(t.right)
-            size = float(np.linalg.norm([v for _, v in ay.entries]))
-            if size > 0:
-                terms.append(RankOneTerm(t.coeff * size, t.left, ay.scale(1.0 / size)))
-        return SumOp(zero, 0j, tuple(terms))
-    if not a.is_l2:
-        da, db = _dense(a), _dense(b)
-        if da.shape[1] != db.shape[0]:
-            raise ValueError("shape mismatch in composition")
-        return MatrixOp(da @ db)
-    bta, btb = _common_support(a, b)
-    if bta.tail.const_value == 0 or btb.tail.const_value == 0:
+    if a.is_l2:
+        (da, ta), (db, tb) = _diagonal_terms(a), _diagonal_terms(b)
         # a zero factor annihilates entrywise, so the product tail is the
         # constant zero even when the other tail is lazy or divergent
-        tail = constant_seq(0.0)
-    else:
-        tail = zip_seqs(bta.tail, btb.tail, np.multiply, at_infinity=at_infinity)
-    return block_tail_op(BlockTail(bta.support, bta.block @ btb.block, tail))
+        tail = (constant_seq(0.0) if da.const_value == 0 or db.const_value == 0
+                else zip_seqs(da, db, np.multiply, at_infinity=at_infinity))
+        # (c <., x> y) D_b is the adjoint of D_b* mapping the adjoint term
+        a_terms = _map_terms(DiagonalOp(db).adjoint(), (t.adjoint() for t in ta))
+        terms = _map_terms(a, tb) + tuple(t.adjoint() for t in a_terms)
+        return SumOp(DiagonalOp(tail), 0j, terms) if terms else DiagonalOp(tail)
+    if isinstance(b, SumOp) and _terms_only(b):
+        rows, cols = getattr(a, "base", a).array.shape
+        if cols != b.base.rows:
+            raise ValueError("shape mismatch in composition")
+        # a times a zero matrix has a's rows and b's columns
+        return SumOp(MatrixOp(np.zeros((rows, b.base.cols))), 0j, _map_terms(a, b.terms))
+    da, db = _dense(a), _dense(b)
+    if da.shape[1] != db.shape[0]:
+        raise ValueError("shape mismatch in composition")
+    return MatrixOp(da @ db)
 
 
 def truncate(op: OperatorRep, n: int) -> MatrixOp:
@@ -1108,10 +1110,9 @@ def scalar_to_json(z) -> Union[float, list]:
 
 
 def scalar_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
-        return _as_scalar(obj)
-    if isinstance(obj, list) and len(obj) == 2:
-        return _as_scalar(complex(obj[0], obj[1]))
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        return _as_scalar(complex(*parts))
     raise ValueError(f"bad scalar {obj!r}; expected number or [re, im]")
 
 

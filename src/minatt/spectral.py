@@ -28,7 +28,6 @@ from .operators import (
     NotRepresentableError,
     OperatorRep,
     Vec,
-    _common_support,
     accumulation_points,
     add_rank_one,
     block_tail,
@@ -37,7 +36,7 @@ from .operators import (
     scalar_to_json,
     tail_diverges,
 )
-from .operators import _dense  # shared within the package
+from .operators import _dense, _diagonal_terms, _term_support  # shared within the package
 
 __all__ = [
     "AttainmentCertificate",
@@ -286,7 +285,7 @@ def _not_self_adjoint(op: OperatorRep) -> str:
 def _lowest_point(op: OperatorRep) -> float:
     """Lowest sampled spectral point of a self-adjoint T: the eigenvalues of
     its ``SAMPLE`` truncation and its declared accumulation points."""
-    points = [p.real for p in accumulation_points(block_tail(op).tail.tail)] if op.is_l2 else []
+    points = [p.real for p in accumulation_points(_diagonal_terms(op)[0].tail)] if op.is_l2 else []
     return min([float(np.min(_truncation_eigs(op, SAMPLE), initial=math.inf))] + points)
 
 
@@ -458,7 +457,7 @@ def _declared(op: OperatorRep) -> tuple[tuple[float, ...], bool]:
     """The declared essential set, sorted, and whether the tail diverges (neither for matrices)."""
     if not op.is_l2:
         return (), False
-    tail = block_tail(op).tail.tail
+    tail = _diagonal_terms(op)[0].tail
     return tuple(sorted(p.real for p in accumulation_points(tail))), tail_diverges(tail)
 
 
@@ -561,12 +560,12 @@ def _detected_both(op: OperatorRep, perturbed: OperatorRep, n: int) -> list[tupl
     values (block eigenvalues, tail entries on the rest of the union) join it in the one pass."""
     if not op.is_l2:
         return [_detect_accumulation(_sorted_eigs(s, n), [np.zeros(0)])[0] for s in (op, perturbed)]
-    shared = _common_support(op, perturbed)[0]
+    shared = block_tail(op, sorted(_term_support(op) | _term_support(perturbed)))
     eigs = _with_tail(np.zeros(0), shared, n)
     eigs.sort()
     owns = []
     for side in (op, perturbed):
-        support = block_tail(side).support
+        support = _term_support(side)
         rest = np.array([i for i in shared.support if i <= n and i not in support], dtype=np.int64)
         # n = 0: the side's block eigenvalues alone
         owns.append(np.sort(np.concatenate((_truncation_eigs(side, 0),

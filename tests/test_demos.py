@@ -1,6 +1,8 @@
 """The demos and the example scenario run to completion.
 
-Each runs in a fresh interpreter, the way a user starts it.
+Each runs in a fresh interpreter, the way a user starts it, with warnings
+raised as errors: a RuntimeWarning in a user-facing run fails here as it
+would in process.
 """
 
 import os
@@ -22,6 +24,6 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_demo_runs(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -398,9 +398,10 @@ def test_sum_apply_builds_one_vec_and_matches_the_fold(monkeypatch):
     where = np.sort(rng.choice(np.arange(1, 1001), 200, replace=False)).tolist()
     u = rng.standard_normal(200) + 1j * rng.standard_normal(200)
     u = Vec(tuple(zip(where, (u / np.linalg.norm(u)).tolist())))
-    t = named_diagonal("one_plus_inv_n")
-    op = scale_shift(add_operators(t, add_rank_one(zero_like(t), RankOneTerm(-0.9, u, u))),
-                     1.0, 0.25)
+    # -0.9 <., u> u written as one term per column, -0.9 |u_j| <., e_j> (phase_j u)
+    terms = tuple(RankOneTerm(-0.9 * abs(c), Vec.basis(j), u.scale(c.conjugate() / abs(c)))
+                  for j, c in u.entries)
+    op = SumOp(named_diagonal("one_plus_inv_n"), 0.25, terms)
     assert len(op.terms) == 200 and op.shift == 0.25
     x = Vec(tuple((i, complex(j % 3 - 1, 1)) for j, i in enumerate(where[::2] + [2001])))
     built = [0]
@@ -656,6 +657,55 @@ def test_compose_with_zero_tail_factor_collapses_to_constant():
                                atol=1e-13)
     # the zero tail keeps the product portable even though the phase is not
     operator_to_json(prod)
+
+
+def _random_l2(rng, root: str):
+    """A scaled root, a constant or a zero diagonal, a shift, and 0-3 terms on 1..8."""
+    kind = rng.integers(3)
+    base = (scale_shift(named_diagonal(root), rng.uniform(-1, 1), 0.0) if kind == 0
+            else DiagonalOp(constant_seq(rng.uniform(-1, 1) if kind == 1 else 0.0)))
+
+    def unit():
+        where = np.sort(rng.choice(np.arange(1, 9), int(rng.integers(1, 4)), replace=False))
+        z = rng.standard_normal(where.size) + 1j * rng.standard_normal(where.size)
+        return Vec(tuple(zip(where.tolist(), (z / np.linalg.norm(z)).tolist())))
+    terms = tuple(RankOneTerm(complex(*rng.uniform(-1, 1, 2)), unit(), unit())
+                  for _ in range(rng.integers(4)))
+    shift = rng.uniform(-1, 1) if rng.integers(2) else 0.0
+    return SumOp(base, shift, terms) if terms or rng.integers(2) else scale_shift(base, 1.0, shift)
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_l2_sum_and_product_match_dense_truncations(seed):
+    rng = np.random.default_rng(seed)
+    root = ("inv_n", "one_plus_inv_n")[rng.integers(2)]
+    a, b = _random_l2(rng, root), _random_l2(rng, root)
+    n = 10  # past every term, so truncations add and multiply exactly
+    da, db = _dense_of(a, n), _dense_of(b, n)
+    np.testing.assert_allclose(_dense_of(add_operators(a, b), n), da + db, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(_dense_of(compose_operators(a, b), n), da @ db,
+                               rtol=0, atol=1e-13)
+
+
+def test_l2_sum_and_product_build_no_block(monkeypatch):
+    import minatt.operators as operators
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an l2 sum or product built a block")
+    for name in ("block_tail", "_common_support", "block_tail_op"):
+        monkeypatch.setattr(operators, name, refuse)
+    r = math.sqrt(0.5)
+    x = Vec(((1, r), (4, r)), None)
+    t = named_diagonal("one_plus_inv_n")
+    op = add_rank_one(scale_shift(t, -1.0, 0.5), RankOneTerm(0.3j, x, Vec.basis(3)))
+    cap = add_rank_one(zero_like(t), RankOneTerm(-0.2, Vec.basis(4), Vec.basis(4)))
+    for a, b in ((op, op), (t, cap), (cap, op), (op, t)):
+        n = 6
+        np.testing.assert_allclose(_dense_of(add_operators(a, b), n),
+                                   _dense_of(a, n) + _dense_of(b, n), atol=1e-14)
+        np.testing.assert_allclose(_dense_of(compose_operators(a, b), n),
+                                   _dense_of(a, n) @ _dense_of(b, n), atol=1e-14)
+    assert len(add_operators(op, cap).terms) == 2 and isinstance(add_operators(t, t), DiagonalOp)
 
 
 def test_truncate_is_the_exact_corner():

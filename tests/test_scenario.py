@@ -83,6 +83,21 @@ _NUMERIC_STRINGS = [
                                        "expect": {"value": 1.0, "tolerance": "1e-9"}}),
 ]
 
+# JSON booleans in operator scalars, which complex() would take as 0 or 1
+_BOOLEAN_SCALARS = [
+    lambda d: d["operators"].update(bumped={**_sum_term({"basis": 2}), "shift": True}),
+    lambda d: d["operators"].update(bumped={**_sum_term({"basis": 2}), "terms": [
+        {"coeff": True, "left": {"basis": 2}, "right": {"basis": 2}}]}),
+    lambda d: d["operators"].update(bumped=_sum_term({"entries": [[2, True]]})),
+    lambda d: d["operators"].update(bool_matrix={"variant": "matrix",
+                                                 "data": [[True, 0], [0, 1]]}),
+    lambda d: d["operators"].update(bool_tail={"variant": "diagonal", "generator": "inv_n",
+                                               "tail": {"kind": "converges_to",
+                                                        "limit": False}}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": True, "index": 5}]}),
+]
+
 
 def _sum_term(vec):
     return {"variant": "sum", "base": {"variant": "diagonal", "generator": "inv_n"},
@@ -172,6 +187,7 @@ def test_valid_config_loads():
         {"coeff": 1.0, "left": {"entries": [[2.5, 1.0]]}, "right": {"basis": 2}}]}),
     *_NOT_INTEGERS,
     *_NUMERIC_STRINGS,
+    *_BOOLEAN_SCALARS,
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -466,10 +482,11 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
         malformed = _config_doc()
         malformed["experiments"][-1]["terms"] = [term]
         assert main(["run", _write_config(tmp_path, malformed)]) == 2
-    for mutate in _NOT_INTEGERS + _NUMERIC_STRINGS:
+    for mutate in _NOT_INTEGERS + _NUMERIC_STRINGS + _BOOLEAN_SCALARS:
         unusable = _config_doc()
         mutate(unusable)
         assert main(["run", _write_config(tmp_path, unusable)]) == 2
+        assert "bad config" in capsys.readouterr().err
 
 
 def test_cli_exit_three_when_report_unwritable(tmp_path, capsys):

@@ -256,8 +256,9 @@ def test_polar_reads_m_of_modulus_off_the_operator():
 
 
 def test_rebuilding_blocks_takes_no_svd(monkeypatch):
-    # every l2 result is rebuilt by block_tail_op; only the operations that
-    # need a decomposition of the block itself take one
+    # l2 sums and products stay a diagonal plus terms, the other l2 results
+    # are rebuilt by block_tail_op; only the operations that need a
+    # decomposition of the block itself take one
     callers = []
     real = np.linalg.svd
 
