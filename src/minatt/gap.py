@@ -20,8 +20,11 @@ The kernels share no code.  What the routes share on purpose sits in
 ``_gap``: matrices go to the kernel whole, two l2 operators split as direct
 sums over the union of their supports so the kernel takes the blocks, and
 the diagonal tails are certified once for all routes, or not read at all
-when they are one sequence.  Unbounded operators are fine on every l2
-route; that is the point of using the gap rather than the norm distance.
+when they are one sequence.  The certifying scan walks both tails block by
+block; tails on one root generator (``shared_root``) evaluate it once per
+block and map its entries to each side, so a pair costs one read of the
+root, not two.  Unbounded operators are fine on every l2 route; that is
+the point of using the gap rather than the norm distance.
 A matrix perturbation's gap(T + S, T) comes from range(S*) (``_perturbation_gap``).
 """
 
@@ -336,16 +339,16 @@ def _pairs_match_declared(pairs, s_seq: DiagSeq, t_seq: DiagSeq) -> bool:
 
 def _certify_tail(block_part: float, bs: BlockTail, bt: BlockTail,
                   prefix: int) -> tuple[float, float]:
-    """Gap value and tail bound from the blocks' part and one streamed scan of the tail pairs."""
+    """Gap value and tail bound from the blocks' part and one streamed scan of the tail pairs,
+    which reads a root the two tails share once per block."""
     # only tail entries are paired: block entries are not tail transforms
     # and would poison the overshoot estimate; the window is past prefix / 2
     pairs, exact = _tail_pairs(bs.tail, bt.tail)
     head, window, s_dev, t_dev = -math.inf, -math.inf, 0.0, 0.0
     half = prefix // 2
-    for (_, sv), (_, tv) in zip(bs.tail_blocks(half), bt.tail_blocks(half)):
+    for sv, tv in bs.paired_tail_blocks(bt, half):
         head = np.maximum(head, np.max(_chordal(sv, tv)))
-    tail_window = zip(bs.tail_blocks(prefix, half + 1), bt.tail_blocks(prefix, half + 1))
-    for (_, sv), (_, tv) in tail_window:
+    for sv, tv in bs.paired_tail_blocks(bt, prefix, half + 1):
         window = np.maximum(window, np.max(_chordal(sv, tv)))
         if not exact:
             s_dev = np.maximum(s_dev, _chordal_window_dev(sv, bs.tail.tail))

@@ -377,6 +377,13 @@ class DiagSeq:
             return np.asarray(vals, dtype=complex)
         base = self.root.values_at(indices)
         del indices
+        return self.from_root_values(base)
+
+    def from_root_values(self, base: np.ndarray) -> np.ndarray:
+        """This sequence's entries where its root's are ``base``, mapped in ``_MAP_BLOCK``
+        chunks; a root sequence's entries are ``base`` itself."""
+        if self.from_root is None:
+            return base
         out = np.empty(base.size, dtype=complex)
         for lo in range(0, base.size, _MAP_BLOCK):
             out[lo:lo + _MAP_BLOCK] = self.from_root(base[lo:lo + _MAP_BLOCK])
@@ -419,13 +426,14 @@ def map_seq(seq: DiagSeq, f, *, at_infinity=None, tail: TailSpec | None = None) 
 def shared_root(a: DiagSeq, b: DiagSeq) -> DiagSeq | None:
     """The common root generator of two sequences, if they have one.
 
-    Roots are shared by identity or by registry name (two lookups of the
-    same named generator are pointwise identical).
+    Roots are shared by identity or by generator function: a registry
+    generator reloaded with its own tail keeps its function.  Two generators
+    that only share a name are two roots, since their entries may differ.
     """
     ra, rb = a.root_seq(), b.root_seq()
     if ra is rb:
         return ra
-    if ra.name is not None and ra.name == rb.name:
+    if ra.gen is not None and ra.gen is rb.gen:
         return ra
     return None
 
@@ -782,8 +790,8 @@ class BlockTail:
         """Dimension of the block."""
         return len(self.support)
 
-    def tail_blocks(self, stop: int, start: int = 1):
-        """``(indices, entries)`` of the tail at start..stop off the support, in blocks.
+    def tail_indices(self, stop: int, start: int = 1):
+        """The tail's indices at start..stop off the support, in blocks.
 
         Blocks double from ``_FIRST_BLOCK`` to ``_MAP_BLOCK`` indices, so a
         scan holds one block at a time; forms on one support pair up.
@@ -797,8 +805,30 @@ class BlockTail:
             if inside.size:
                 indices = np.delete(indices, inside - lo)
             if indices.size:
-                yield indices, self.tail.values_at(indices)
+                yield indices
             lo, size = hi, min(2 * size, _MAP_BLOCK)
+
+    def tail_blocks(self, stop: int, start: int = 1):
+        """``(indices, entries)`` of the tail at start..stop off the support, in
+        the blocks of :meth:`tail_indices`."""
+        for indices in self.tail_indices(stop, start):
+            yield indices, self.tail.values_at(indices)
+
+    def paired_tail_blocks(self, other: "BlockTail", stop: int, start: int = 1):
+        """``(entries, other's entries)`` of two forms on one support, block by block.
+
+        Tails on one root (``shared_root``) evaluate it once per block and map
+        its entries to each side by ``from_root_values``, the chunks
+        ``values_at`` maps, so both sides get the values ``tail_blocks`` gives.
+        """
+        root = shared_root(self.tail, other.tail)
+        if root is None:
+            pairs = zip(self.tail_blocks(stop, start), other.tail_blocks(stop, start))
+            yield from ((a, b) for (_, a), (_, b) in pairs)
+            return
+        for indices in self.tail_indices(stop, start):
+            base = root.values_at(indices)
+            yield self.tail.from_root_values(base), other.tail.from_root_values(base)
 
     def embed(self, v: np.ndarray) -> Vec:
         """The l2 vector whose support coordinates are the block vector ``v``."""
@@ -1136,8 +1166,10 @@ def tail_from_json(obj: dict) -> TailSpec:
     if kind == "finite_range":
         return FiniteRange(tuple(scalar_from_json(v) for v in obj["values"]))
     if kind == "declared":
-        return DeclaredAccumulation(tuple(scalar_from_json(p) for p in obj["points"]),
-                                    bool(obj.get("diverges_to_infinity", False)))
+        diverges = obj.get("diverges_to_infinity", False)
+        if not isinstance(diverges, bool):
+            raise ValueError(f"bad diverges_to_infinity {diverges!r}; expected true or false")
+        return DeclaredAccumulation(tuple(scalar_from_json(p) for p in obj["points"]), diverges)
     raise ValueError(f"unknown tail kind {kind!r}")
 
 

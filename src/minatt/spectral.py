@@ -14,6 +14,7 @@ each other are reported as discrete eigenvalues with multiplicities.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -407,10 +408,19 @@ def _require_self_adjoint(op: OperatorRep):
         raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
 
+def _real(vals: np.ndarray) -> np.ndarray:
+    """The real parts of diagonal entries; ValueError when one is off the real line."""
+    if np.max(np.abs(vals.imag), initial=0.0) > HERMITIAN_TOL:
+        raise ValueError("spectral reports require a self-adjoint operator: "
+                         "diagonal entries not real")
+    return vals.real
+
+
 def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
     """Eigenvalues of the n x n truncation, exact via the block split.
 
-    A block reaching past ``n`` contributes all its eigenvalues.
+    A block reaching past ``n`` contributes all its eigenvalues.  A tail entry
+    off the real line raises ValueError (``_with_tail``).
     """
     if not op.is_l2:
         return np.linalg.eigvalsh(_dense(op))
@@ -419,28 +429,69 @@ def _truncation_eigs(op: OperatorRep, n: int) -> np.ndarray:
 
 
 def _with_tail(head: np.ndarray, bt: BlockTail, n: int) -> np.ndarray:
-    """``head`` followed by the real tail entries at 1..n off ``bt``'s support."""
+    """``head`` followed by the tail entries at 1..n off ``bt``'s support, which must be
+    real: the pass that writes them raises ValueError at the first block holding one that
+    is not, so the whole prefix is checked without a second read."""
     out = np.empty(head.size + n - int(np.searchsorted(bt.support, n, side="right")))
     out[:head.size] = head
     at = head.size
     for _, vals in bt.tail_blocks(n):
-        out[at:at + vals.size] = vals.real
+        out[at:at + vals.size] = _real(vals)
         at += vals.size
     return out
 
 
+def _run(v: np.ndarray) -> int:
+    """1 when ``v`` is non-decreasing, -1 when it is strictly decreasing, else 0.  It reads
+    ``_COUNT_CHUNK`` slices and stops at the first slice out of order; a NaN is out of order."""
+    up = down = True
+    for lo in range(0, v.size - 1, _COUNT_CHUNK):
+        s = v[lo:lo + _COUNT_CHUNK + 1]
+        up = up and bool(np.all(s[:-1] <= s[1:]))
+        down = down and not up and bool(np.all(s[:-1] > s[1:]))
+        if not (up or down):
+            return 0
+    return 1 if up else -1
+
+
+def _sort(v: np.ndarray, k: int):
+    """Sort ``v`` in place, bit for bit as ``v.sort()`` does, in O(N) when ``v[k:]`` is one run.
+
+    Every registry tail and its affine images are one run, non-decreasing or strictly
+    decreasing.  Numpy's stable sort of floats, timsort, keeps or reverses such a run and
+    merges the first k values into it with a buffer of at most k + 64 values; quicksort
+    takes O(N log N) on it.  Two sorts can differ only in the order of values that compare
+    equal, and those have one bit pattern unless they are NaNs or zeros of both signs: any
+    of those, and any tail that is not one run, take ``v.sort()``.
+    """
+    head, tail = v[:k], v[k:]
+    run = _run(tail)
+    if run and not np.isnan(v[:k + 1]).any():
+        rising = tail if run > 0 else tail[::-1]  # the run's zeros sit side by side
+        zeros = rising[bisect.bisect_left(rising, 0.0):bisect.bisect_right(rising, 0.0)]
+        signs = np.concatenate((np.signbit(head[head == 0]), np.signbit(zeros)))
+        if signs.all() or not signs.any():
+            v.sort(kind="stable")
+            return
+    v.sort()
+
+
 def _sorted_eigs(op: OperatorRep, n: int) -> np.ndarray:
+    """``_truncation_eigs(op, n)``, sorted: the tail part after one eigenvalue per
+    coordinate of the block is usually one run, which ``_sort`` orders in O(N)."""
     eigs = _truncation_eigs(op, n)
-    eigs.sort()
+    _sort(eigs, len(_term_support(op)) if op.is_l2 else eigs.size)
     return eigs
 
 
 def _runs(v: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end positions of the runs of sorted ``v`` whose neighbour gaps are <= ``gap``."""
+    """Start and end positions of the runs of sorted ``v`` whose neighbour gaps are <= ``gap``.
+    The gaps are taken ``_COUNT_CHUNK`` at a time, so no array as long as ``v`` is made."""
     if v.size == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    cuts = np.flatnonzero(np.diff(v) > gap) + 1
-    return np.concatenate(([0], cuts)), np.concatenate((cuts, [v.size]))
+    cuts = [np.flatnonzero(np.diff(v[lo:lo + _COUNT_CHUNK + 1]) > gap) + (lo + 1)
+            for lo in range(0, v.size - 1, _COUNT_CHUNK)]
+    return np.concatenate([[0], *cuts]), np.concatenate([*cuts, [v.size]])
 
 
 def _cluster(v: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -487,7 +538,9 @@ def essential_spectrum(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Spec
     exact multiplicity clusters (gap <= MULTIPLICITY_TOL) that stay more
     than ``ISOLATION_GAP`` away from the essential set and from every other
     cluster.  Anything closer is deliberately left unresolved.  The cost is
-    one sort of the prefix eigenvalues and a few array passes over them.
+    one pass that evaluates the prefix and refuses a non-real entry, an
+    ordering of the eigenvalues that is O(N) when the tail is one monotone
+    run (``_sort``) and a few passes over them in slices.
     """
     _require_self_adjoint(op)
     return _spectrum_report(op, _sorted_eigs(op, prefix), prefix)
@@ -562,14 +615,14 @@ def _detected_both(op: OperatorRep, perturbed: OperatorRep, n: int) -> list[tupl
         return [_detect_accumulation(_sorted_eigs(s, n), [np.zeros(0)])[0] for s in (op, perturbed)]
     shared = block_tail(op, sorted(_term_support(op) | _term_support(perturbed)))
     eigs = _with_tail(np.zeros(0), shared, n)
-    eigs.sort()
+    _sort(eigs, 0)
     owns = []
     for side in (op, perturbed):
         support = _term_support(side)
         rest = np.array([i for i in shared.support if i <= n and i not in support], dtype=np.int64)
         # n = 0: the side's block eigenvalues alone
         owns.append(np.sort(np.concatenate((_truncation_eigs(side, 0),
-                                            shared.tail.values_at(rest).real))))
+                                            _real(shared.tail.values_at(rest))))))
     return _detect_accumulation(eigs, owns)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from minatt.operators import (
     SumOp,
     UnboundedOperatorError,
     Vec,
+    add_operators,
     add_rank_one,
     compose_operators,
     constant_seq,
@@ -26,8 +28,8 @@ from minatt.operators import (
     scale_shift,
     truncate,
 )
-from minatt.operators import _adjoint_range, _common_support
-from minatt import gap
+from minatt.operators import _MAP_BLOCK, _adjoint_range, _common_support
+from minatt import gap, operators
 from minatt.gap import (
     _KERNELS,
     GapResult,
@@ -428,13 +430,15 @@ def test_graph_truncations_see_exactly_the_scanned_prefix():
 N_LONG = 1_000_000
 
 
-def _tail_entries(monkeypatch, support=(5,)):
-    """Entries any sequence hands out off ``support``, counted at DiagSeq.values_at."""
+def _tail_entries(monkeypatch, support=(5,), roots_only=False):
+    """Entries any sequence hands out off ``support``, counted at DiagSeq.values_at;
+    with ``roots_only``, only those a root generator computes."""
     seen = [0]
     real = DiagSeq.values_at
 
     def spy(self, indices):
-        seen[0] += int(np.count_nonzero(~np.isin(indices, support)))
+        if self.gen is not None or not roots_only:
+            seen[0] += int(np.count_nonzero(~np.isin(indices, support)))
         return real(self, indices)
     monkeypatch.setattr(DiagSeq, "values_at", spy)
     return seen
@@ -496,18 +500,48 @@ def test_scenario_gap_over_one_generator_reads_no_tail_entry(monkeypatch):
 
 def test_tails_that_are_not_one_sequence_are_scanned(monkeypatch):
     # equal entries are not enough: two maps of one generator are two
-    # sequences, and so is a registry generator reloaded with its own tail
+    # sequences, and so is a registry generator reloaded with its own tail;
+    # both pairs share a root, which the scan reads once per index
     t = named_diagonal("one_plus_inv_n")
     reloaded = operator_from_json({"variant": "diagonal", "generator": "one_plus_inv_n",
                                    "tail": {"kind": "declared", "points": [1.0]}})
     n = 10_000
     for s, other in ((_bumped(scale_shift(t, 1.0, 0.0), -0.6), scale_shift(t, 1.0, 0.0)),
                      (_bumped(reloaded, -0.6), t)):
-        seen = _tail_entries(monkeypatch)
+        scans = []
+        certify = gap._certify_tail
+        monkeypatch.setattr(gap, "_certify_tail",
+                            lambda *args: scans.append(args) or certify(*args))
+        seen = _tail_entries(monkeypatch, roots_only=True)
         res = _gap(s, other, "auto", n)
-        assert seen[0] >= 2 * (n - 1)
+        assert len(scans) == 1 and seen[0] == n - 1
         monkeypatch.undo()
         assert res == _scanned(s, other, "diagonal", n)
+
+
+@pytest.mark.parametrize("name", ["one_plus_inv_n", "linear_n"])
+def test_a_shared_root_is_read_once_per_block(monkeypatch, name):
+    # alpha t + beta against t + (a t + b), as in the benchmark's derived gap pairs: the scan
+    # hands each block of indices to the root generator once, and certifies the numbers the
+    # zipped scan of the two tails, one read of the root per side, certifies
+    seq = named_diagonal(name).seq
+    calls = []
+
+    def gen(indices):
+        if indices.size:  # the empty supports' blocks read no entry
+            calls.append(np.array(indices))
+        return seq.gen(indices)
+    t = DiagonalOp(replace(seq, gen=gen))
+    d, s = scale_shift(t, 1.5, 0.25), add_operators(t, scale_shift(t, 0.5, 0.75))
+    n = 300_000
+    res = operator_gap_diagonal(d, s, prefix=n)
+    bd = _common_support(d, s)[0]
+    blocks = list(bd.tail_indices(n // 2)) + list(bd.tail_indices(n, n // 2 + 1))
+    assert len(calls) == len(blocks) and all(map(np.array_equal, calls, blocks))
+    assert max(ix.size for ix in calls) == _MAP_BLOCK
+    monkeypatch.setattr(operators, "shared_root", lambda a, b: None)
+    assert res == operator_gap_diagonal(d, s, prefix=n)
+    assert len(calls) == 3 * len(blocks)
 
 
 def test_finite_rank_operators_over_separate_zero_bases_take_the_block_rule(monkeypatch):

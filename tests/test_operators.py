@@ -47,6 +47,8 @@ from minatt.operators import (
     zero_like,
     zip_seqs,
 )
+from minatt.operators import _chordal
+from minatt.gap import operator_gap_diagonal
 
 RNG_SEED = 20260814
 
@@ -194,6 +196,20 @@ def test_registry_lookups_share_one_generator():
     a = named_diagonal("inv_n").seq
     b = named_diagonal("inv_n").seq
     assert shared_root(a, b) is not None
+
+
+def test_generators_that_only_share_a_name_are_two_roots():
+    # entries 1 + 1/n and 1 + 2/n under one name: read as one root, a - b would be 0
+    # and the gap scan, which reads a shared root once, would certify a gap of 0
+    a = diagonal_seq(None, ConvergesTo(1.0), name="x", vec_fn=lambda n: 1 + 1 / n)
+    b = diagonal_seq(None, ConvergesTo(1.0), name="x", vec_fn=lambda n: 1 + 2 / n)
+    assert shared_root(a, b) is None
+    assert shared_root(a, replace(a, tail=DeclaredAccumulation((1.0,)))) is a
+    with pytest.raises(NotRepresentableError):
+        add_operators(DiagonalOp(a), scale_shift(DiagonalOp(b), -1.0, 0.0))
+    gap = operator_gap_diagonal(DiagonalOp(a), DiagonalOp(b), prefix=1000)
+    assert gap.value == float(np.max(_chordal(a.values(1000), b.values(1000))))
+    assert gap.value > 0.1
 
 
 def test_constant_seq_round_trip():

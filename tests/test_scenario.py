@@ -188,6 +188,9 @@ def test_valid_config_loads():
     *_NOT_INTEGERS,
     *_NUMERIC_STRINGS,
     *_BOOLEAN_SCALARS,
+    lambda d: d["operators"].update(string_flag={"variant": "diagonal", "generator": "linear_n",
+                                                 "tail": {"kind": "declared", "points": [],
+                                                          "diverges_to_infinity": "false"}}),
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()

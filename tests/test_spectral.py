@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from minatt import spectral
 from minatt.operators import (
+    ConvergesTo,
     DiagSeq,
     DiagonalOp,
     MatrixOp,
@@ -21,6 +22,7 @@ from minatt.operators import (
     add_rank_one,
     block_tail,
     compose_operators,
+    diagonal_seq,
     list_generators,
     named_diagonal,
     scale_shift,
@@ -36,6 +38,9 @@ from minatt.spectral import (
     WeylReport,
     _cluster,
     _detect_accumulation,
+    _run,
+    _runs,
+    _sort,
     _sorted_eigs,
     _window_counts,
     essential_spectrum,
@@ -366,6 +371,27 @@ def test_spectrum_runs_one_eigvalsh(monkeypatch):
     assert shapes == [(5, 5)]
 
 
+def _probe(n):
+    """1 + 1/n, off the real line by 0.5i at n = 5000, past the self-adjointness sample."""
+    return (1 + 1 / n + 0.5j * (n == 5000)).astype(complex)
+
+
+def test_spectral_reports_refuse_a_non_real_entry_anywhere_in_the_prefix():
+    op = DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=_probe))
+    assert 5000 > SAMPLE
+    not_real = "spectral reports require a self-adjoint operator: diagonal entries not real"
+    # the pass that evaluates the prefix, and weyl_check's own entry on the union of supports:
+    # there T + S is real, and T is not
+    for report in (lambda: essential_spectrum(op, prefix=10_000),
+                   lambda: weyl_check(op, [RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5))],
+                                      prefix=10_000),
+                   lambda: weyl_check(op, [RankOneTerm(-0.5j, Vec.basis(5000), Vec.basis(5000))],
+                                      prefix=10_000)):
+        with pytest.raises(ValueError, match=not_real):
+            report()
+    assert essential_spectrum(op, prefix=4999).truncation == 4999
+
+
 def test_spectrum_requires_self_adjointness():
     with pytest.raises(ValueError):
         essential_spectrum(MatrixOp(np.array([[0.0, 1.0], [0.0, 0.0]])))
@@ -454,6 +480,48 @@ _GRID = [0.0, -0.0, _W, 2 * _W, _W / 2, -_W, 1.0, 1.0 + _W, 1.0 + MULTIPLICITY_T
 _values = st.lists(st.tuples(st.one_of(st.sampled_from(_GRID), st.floats(-2.0, 2.0)),
                              st.integers(1, 40)), max_size=12).map(
     lambda pairs: [x for x, times in pairs for _ in range(times)])
+
+
+def test_runs_take_gaps_across_slices():
+    # a cut on each side of the slice boundaries, and runs that span them
+    chunk = spectral._COUNT_CHUNK
+    v = np.cumsum(np.where(np.arange(2 * chunk + 3) % (chunk - 1) == 0, 1.0, 1e-3))
+    for gap in (1e-3 / 2, 0.5, 2.0):
+        cuts = np.flatnonzero(np.diff(v) > gap) + 1
+        starts, ends = _runs(v, gap)
+        assert np.array_equal(starts, np.concatenate(([0], cuts)))
+        assert np.array_equal(ends, np.concatenate((cuts, [v.size])))
+        assert starts.dtype == ends.dtype == np.intp
+
+
+# tails of each shape, over several ordering slices, from integers so that ties and zeros occur
+_SHAPES = {
+    "ascending": lambda v: np.sort(v),
+    "strictly decreasing": lambda v: np.arange(v.size, 0, -1) - v.size / 2.0,
+    "decreasing with ties": lambda v: np.sort(v)[::-1],
+    "periodic": lambda v: np.resize([1.0, 0.0, 0.5], v.size),
+    "random": lambda v: v,
+}
+
+
+@given(st.sampled_from(sorted(_SHAPES)),
+       st.sampled_from([0, 1, 2, 7, spectral._COUNT_CHUNK + 1, 2 * spectral._COUNT_CHUNK + 5]),
+       st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.5, 1e300, -math.inf, math.nan]),
+                max_size=6),
+       st.sampled_from([0.0, 0.5, 1.0]), st.integers(0, 2**32 - 1))
+def test_sort_matches_np_sort_bit_for_bit(shape, n, head, negative_zeros, seed):
+    rng = np.random.default_rng(seed)
+    tail = _SHAPES[shape](rng.integers(-3, 4, n).astype(float))
+    zeros = tail == 0
+    tail[zeros] = np.where(rng.random(int(zeros.sum())) < negative_zeros, -0.0, 0.0)
+    v = np.concatenate((head, tail))
+    got = v.copy()
+    _sort(got, len(head))
+    assert np.array_equal(got.view(np.int64), np.sort(v).view(np.int64))
+    if shape == "ascending" or (shape == "strictly decreasing" and n > 1):
+        assert _run(tail) == (1 if shape == "ascending" else -1)
+    elif shape == "periodic" and n > 2:
+        assert _run(tail) == 0
 
 
 @given(_values, st.sampled_from([0.0, _W, MULTIPLICITY_TOL, 0.25, 1.0]))
@@ -624,3 +692,19 @@ def test_weyl_check_holds_one_eigenvalue_array_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak <= bound * 8 * n
+
+
+def test_essential_spectrum_holds_one_eigenvalue_array():
+    # the eigenvalues, slices of them and the clusters: neighbour gaps taken whole, or a sort
+    # with an N-long buffer, would add 8N
+    op = add_rank_one(named_diagonal("one_plus_inv_n"),
+                      RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5)))
+    essential_spectrum(op, prefix=1000)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        essential_spectrum(op, prefix=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * n
