@@ -115,6 +115,21 @@ def _as_scalar(z) -> complex:
     return z
 
 
+def _array_scalars(*zs: complex) -> tuple:
+    """The scalars of one array map as it applies them: their float values when all are
+    real, so maps of real entries stay float64 with the real parts complex arithmetic
+    gives, else the complex values.  An imaginary part of -0.0 counts as complex: it
+    flips the sign of a zero product."""
+    if all(z.imag == 0 and math.copysign(1.0, z.imag) > 0 for z in zs):
+        return tuple(z.real for z in zs)
+    return zs
+
+
+def _entry_dtype(a) -> type:
+    """float for real entries of any numeric type, complex for complex ones."""
+    return complex if np.iscomplexobj(a) else float
+
+
 # ---------------------------------------------------------------------------
 # Sparse vectors
 # ---------------------------------------------------------------------------
@@ -342,11 +357,13 @@ class DiagSeq:
     """Lazy diagonal sequence: entries computed from index arrays, plus a declared tail.
 
     A root sequence holds ``gen``, which maps an array of 1-based indices to
-    the entries there.  A sequence derived by entrywise maps holds its
-    ``root`` and ``from_root``, the array map from the root's entries to its
-    own, so later combinations of two derived sequences can be carried out
-    exactly whenever they share a root.  ``const_value`` marks sequences
-    that are constant, which combine with anything.
+    the entries there: float64 when they are real, complex128 when complex.
+    A sequence derived by entrywise maps holds its ``root`` and
+    ``from_root``, the array map from the root's entries to its own (its
+    arithmetic sets the dtype), so later combinations of two derived
+    sequences can be carried out exactly whenever they share a root.
+    ``const_value`` marks sequences that are constant, which combine with
+    anything.
     """
 
     tail: TailSpec
@@ -360,32 +377,36 @@ class DiagSeq:
         return self.root if self.root is not None else self
 
     def values(self, n: int) -> np.ndarray:
-        """Exact entries 1..n as a complex array."""
+        """Exact entries 1..n, float64 when real (see :meth:`values_at`)."""
         if n < 0:
             raise ValueError("prefix length must be >= 0")
         return self.values_at(np.arange(1, n + 1))
 
     def values_at(self, indices: np.ndarray) -> np.ndarray:
-        """Exact entries at a 1-D array of 1-based indices, as a complex array."""
+        """Exact entries at a 1-D array of 1-based indices: float64 when the generator's
+        entries (integers too) and the maps' scalars are real, else complex128."""
         if self.const_value is not None:
-            return np.full(len(indices), self.const_value, dtype=complex)
+            return np.full(len(indices), *_array_scalars(self.const_value))
         # the index array is dropped as soon as it is used: on a long prefix
         # it would otherwise sit beside the generator's temporaries
         if self.root is None:
             vals = self.gen(indices)
             del indices
-            return np.asarray(vals, dtype=complex)
+            return np.asarray(vals, dtype=_entry_dtype(vals))
         base = self.root.values_at(indices)
         del indices
         return self.from_root_values(base)
 
     def from_root_values(self, base: np.ndarray) -> np.ndarray:
         """This sequence's entries where its root's are ``base``, mapped in ``_MAP_BLOCK``
-        chunks; a root sequence's entries are ``base`` itself."""
+        chunks, in the dtype of the first chunk's image; a root sequence's entries are
+        ``base`` itself."""
         if self.from_root is None:
             return base
-        out = np.empty(base.size, dtype=complex)
-        for lo in range(0, base.size, _MAP_BLOCK):
+        first = self.from_root(base[:_MAP_BLOCK])
+        out = np.empty(base.size, dtype=_entry_dtype(first))
+        out[:_MAP_BLOCK] = first
+        for lo in range(_MAP_BLOCK, base.size, _MAP_BLOCK):
             out[lo:lo + _MAP_BLOCK] = self.from_root(base[lo:lo + _MAP_BLOCK])
         return out
 
@@ -464,11 +485,11 @@ def zip_seqs(a: DiagSeq, b: DiagSeq, g, *, at_infinity=None,
     """
     # a constant operand is broadcast, not written out once per block
     if a.const_value is not None:
-        ca = a.const_value
+        ca, = _array_scalars(a.const_value)
         return map_seq(b, lambda z: g(np.broadcast_to(ca, z.shape), z),
                        at_infinity=at_infinity, tail=tail)
     if b.const_value is not None:
-        cb = b.const_value
+        cb, = _array_scalars(b.const_value)
         return map_seq(a, lambda z: g(z, np.broadcast_to(cb, z.shape)),
                        at_infinity=at_infinity, tail=tail)
     root = shared_root(a, b)
@@ -694,7 +715,7 @@ class SumOp(OperatorRep):
     def diagonal(self) -> DiagSeq:
         """The l2 diagonal base plus the shift, built once per operator so that
         every block-tail form of it holds one tail object (``_one_tail``)."""
-        seq, shift = self.base.seq, self.shift
+        seq, (shift,) = self.base.seq, _array_scalars(self.shift)
         return seq if shift == 0 else map_seq(seq, lambda a: a + shift, at_infinity="diverges")
 
     def apply(self, x: Vec) -> Vec:
@@ -731,7 +752,7 @@ _REGISTRY: dict[str, tuple[Callable[[np.ndarray], np.ndarray], TailSpec]] = {
     "one_plus_inv_n": (lambda a: 1.0 + 1.0 / a, ConvergesTo(1.0)),
     "inv_n": (lambda a: 1.0 / a, ConvergesTo(0.0)),
     "alternating01": (lambda a: (a - 1) % 2, Periodic((0.0, 1.0))),
-    "linear_n": (lambda a: a.astype(complex),
+    "linear_n": (lambda a: a.astype(float),
                  DeclaredAccumulation((), diverges_to_infinity=True)),
 }
 
@@ -862,7 +883,7 @@ def block_tail(op: OperatorRep, support=None) -> BlockTail:
         return np.array([entries.get(i, 0j) for i in support], dtype=complex)
 
     tail = op.diagonal
-    block = np.diag(tail.values_at(np.array(support, dtype=np.int64)))
+    block = np.diag(np.asarray(tail.values_at(np.array(support, dtype=np.int64)), dtype=complex))
     for t in op.terms:
         block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
     return BlockTail(support, block, tail)
@@ -925,7 +946,8 @@ def scale_shift(op: OperatorRep, alpha, beta) -> OperatorRep:
     if isinstance(op, DiagonalOp):
         if alpha == 0:
             return DiagonalOp(constant_seq(beta))
-        return DiagonalOp(map_seq(op.seq, lambda a: alpha * a + beta, at_infinity="diverges"))
+        a_, b_ = _array_scalars(alpha, beta)
+        return DiagonalOp(map_seq(op.seq, lambda a: a_ * a + b_, at_infinity="diverges"))
     if isinstance(op, SumOp):
         return SumOp(scale_shift(op.base, alpha, 0), alpha * op.shift + beta,
                      tuple(RankOneTerm(alpha * t.coeff, t.left, t.right)

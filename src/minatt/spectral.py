@@ -262,8 +262,8 @@ def _hermitian(arr: np.ndarray) -> bool:
     return float(np.max(np.abs(arr - arr.conj().T), initial=0.0)) <= HERMITIAN_TOL * scale
 
 
-def _not_self_adjoint(op: OperatorRep) -> str:
-    """Why T is not self-adjoint, or "" when it is (on the sampled prefix)."""
+def _not_self_adjoint(op: OperatorRep, sample: int = SAMPLE) -> str:
+    """Why T is not self-adjoint, or "" when it is (on the first ``sample`` tail entries)."""
     if not op.is_l2:
         arr = _dense(op)
         if arr.shape[0] != arr.shape[1]:
@@ -273,7 +273,7 @@ def _not_self_adjoint(op: OperatorRep) -> str:
     if not _hermitian(bt.block):
         return "block not self-adjoint"
     imag = 0.0
-    for _, vals in bt.tail_blocks(SAMPLE):
+    for _, vals in bt.tail_blocks(sample):
         imag = np.maximum(imag, np.max(np.abs(vals.imag)))
     if imag > HERMITIAN_TOL:
         return "diagonal entries not real"
@@ -369,7 +369,9 @@ def _phase_vec(a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     out = np.zeros_like(a)
     nz = mags > 0
-    out[nz] = a[nz] / mags[nz]
+    # times 1/|z|, as complex division by a real |z| scales: a real z keeps the bits of its
+    # complex cast, x * (1/|x|), which is not always x / |x|
+    out[nz] = a[nz] * (1.0 / mags[nz])
     return out
 
 
@@ -403,7 +405,8 @@ def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentC
 
 
 def _require_self_adjoint(op: OperatorRep):
-    why = _not_self_adjoint(op)
+    # no tail entry is read: the pass that evaluates the prefix refuses one off the real line
+    why = _not_self_adjoint(op, 0)
     if why:
         raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
