@@ -907,11 +907,11 @@ def _diagonal_terms(op: OperatorRep) -> tuple[DiagSeq, tuple[RankOneTerm, ...]]:
 
 
 def _dense(op: OperatorRep) -> np.ndarray:
-    """Materialise a finite-ambient operator."""
+    """Materialise a finite-ambient operator; a ``MatrixOp`` gives its read-only array."""
     if isinstance(op, MatrixOp):
-        return np.array(op.array)
+        return op.array
     if isinstance(op, SumOp) and isinstance(op.base, MatrixOp):
-        arr = np.array(op.base.array)
+        arr = op.base.array
         if op.shift != 0:
             arr = arr + op.shift * np.eye(arr.shape[0])
         rows, cols = arr.shape  # right vectors live in C^rows, left ones in C^cols
@@ -1079,18 +1079,35 @@ class NormBound:
         return self.value
 
 
-def _spectral_norm(arr: np.ndarray) -> float:
-    if arr.size == 0:
+def _spectral_norm(x: np.ndarray) -> float:
+    """sigma_1 of an m x n array x (m >= n, else its adjoint) as sqrt(lambda_max) of its Gram.
+
+    x is scaled by 2^-e, e the binary exponent of max |x_ij|, which is exact
+    in the normal range and keeps the Gram from under- or overflowing.
+    G = fl(x* x) lies within gamma_m n ||x||^2 of x* x (Higham 2002, §3)
+    and ``eigvalsh`` is backward stable, so sigma_1 has relative error about
+    (m + c) n eps / 2, below 1e-11 at 512 x 256.  The caller forms x
+    explicitly (a residual, not 1 - cos^2), so small norms keep that
+    relative accuracy.  Zero and empty arrays give exactly 0.0.
+    """
+    top = float(np.max(np.abs(x), initial=0.0))
+    if top == 0.0:
         return 0.0
-    return float(np.linalg.norm(arr, 2))
+    e = math.frexp(top)[1]
+    y = x * math.ldexp(1.0, -(e // 2))  # in two steps: 2^-e alone overflows for e < -1023
+    y *= math.ldexp(1.0, e // 2 - e)
+    gram = y.conj().T @ y if y.shape[0] >= y.shape[1] else y @ y.conj().T
+    return math.ldexp(math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)), e)
 
 
 def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound:
     """Operator norm; raises :class:`UnboundedOperatorError` on divergent tails.
 
-    Matrices are exact (largest singular value).  For l2 operators the block
-    is exact and the diagonal tail is bounded by prefix scan plus declared
-    accumulation, with the residual uncertainty reported as ``tail_slack``.
+    Matrices give their largest singular value and l2 operators their
+    block's, both from ``_spectral_norm`` (relative error about
+    (m + c) n eps / 2 for an m x n array, m >= n).  The diagonal tail is
+    bounded by prefix scan plus declared accumulation, with the residual
+    uncertainty reported as ``tail_slack``.
     """
     if not op.is_l2:
         return NormBound(_spectral_norm(_dense(op)), 0.0)

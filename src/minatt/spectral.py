@@ -413,7 +413,7 @@ def _require_self_adjoint(op: OperatorRep):
 
 def _real(vals: np.ndarray) -> np.ndarray:
     """The real parts of diagonal entries; ValueError when one is off the real line."""
-    if np.max(np.abs(vals.imag), initial=0.0) > HERMITIAN_TOL:
+    if np.iscomplexobj(vals) and np.max(np.abs(vals.imag), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("spectral reports require a self-adjoint operator: "
                          "diagonal entries not real")
     return vals.real

@@ -32,6 +32,7 @@ from minatt.operators import _MAP_BLOCK, _adjoint_range, _common_support
 from minatt import gap, operators
 from minatt.gap import (
     _KERNELS,
+    ROUTE_AGREE_TOL,
     GapResult,
     _certify_tail,
     _closed_form_dense,
@@ -134,17 +135,18 @@ def test_subspace_gap_matches_the_projection_difference(n, da, db, near, seed):
     assert subspace_gap(qb, qa).value == value
 
 
-def _svd_widths(monkeypatch):
-    # numpy.linalg.norm(., 2) calls the SVD through its own module's
-    # globals, so that name is watched as well as the public one
+def _decomposition_widths(monkeypatch):
+    # the width of every svd, eigh, eigvalsh and qr; numpy.linalg.norm calls
+    # them through its own module's globals, so those names are watched as
+    # well as the public ones
     widths = []
-    real = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        widths.append(np.shape(a)[-1])
-        return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", spy)
-    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", spy)
+    watched = inspect.unwrap(np.linalg.norm).__globals__
+    for name in ("svd", "eigh", "eigvalsh", "qr"):
+        def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+            widths.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setitem(watched, name, spy)
     return widths
 
 
@@ -152,7 +154,7 @@ def test_graph_gap_forms_no_projection(monkeypatch):
     rng = np.random.default_rng(71)
     n = 64
     a = _rand(rng, n)
-    widths = _svd_widths(monkeypatch)
+    widths = _decomposition_widths(monkeypatch)
     operator_gap_graph(MatrixOp(a), MatrixOp(a + 0.3 * _rand(rng, n)))
     assert widths and max(widths) <= n
 
@@ -161,7 +163,7 @@ def test_subspace_gap_forms_no_projection(monkeypatch):
     rng = np.random.default_rng(73)
     qa, _ = np.linalg.qr(_rand(rng, 256, 64))
     qb, _ = np.linalg.qr(_rand(rng, 256, 64))
-    widths = _svd_widths(monkeypatch)
+    widths = _decomposition_widths(monkeypatch)
     subspace_gap(qa, qb)
     assert widths and max(widths) <= 64
 
@@ -169,6 +171,16 @@ def test_subspace_gap_forms_no_projection(monkeypatch):
 # ---------------------------------------------------------------------------
 # Graph route on matrices
 # ---------------------------------------------------------------------------
+
+
+def test_routes_agree_on_a_nearby_pair():
+    # a gap of about 1e-13 is taken from residuals, so both routes resolve it
+    rng = np.random.default_rng(77)
+    a = _rand(rng, 64)
+    s, t = MatrixOp(a), MatrixOp(a + 1e-13 * _rand(rng, 64))
+    graph, closed = operator_gap_graph(s, t).value, operator_gap_closed_form(s, t).value
+    assert 0.0 < graph < 1e-11
+    assert abs(graph - closed) <= ROUTE_AGREE_TOL
 
 
 def test_graph_gap_of_identical_operators_is_zero():

@@ -47,7 +47,7 @@ from minatt.operators import (
     zero_like,
     zip_seqs,
 )
-from minatt.operators import _chordal
+from minatt.operators import _chordal, _spectral_norm
 from minatt.gap import operator_gap_diagonal
 
 RNG_SEED = 20260814
@@ -786,6 +786,53 @@ def test_matrix_norm_matches_numpy(seed):
     nb = operator_norm(MatrixOp(arr))
     assert abs(nb.value - np.linalg.norm(arr, 2)) < 1e-10
     assert nb.tail_slack == 0.0
+
+
+def _assert_sigma1(arr):
+    # the bound of _spectral_norm's docstring, (m + c) n eps / 2 with c = 10,
+    # which also covers the reference SVD's own rounding
+    m, n = max(arr.shape), min(arr.shape)
+    expect = float(np.linalg.norm(arr, 2))
+    assert abs(_spectral_norm(arr) - expect) <= (m + 10) * n * np.finfo(float).eps / 2 * expect
+
+
+@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
+       st.sampled_from(("m x n", "1 x n", "m x 1")), st.booleans(),
+       st.integers(min_value=-1000, max_value=1000), st.integers(min_value=0, max_value=2**31 - 1))
+def test_spectral_norm_matches_the_largest_singular_value(m, n, kind, cplx, k, seed):
+    rng = np.random.default_rng(seed)
+    shape = {"m x n": (m, n), "1 x n": (1, n), "m x 1": (m, 1)}[kind]
+    arr = rng.standard_normal(shape)
+    if cplx:
+        arr = arr + 1j * rng.standard_normal(shape)
+    _assert_sigma1(arr * 2.0 ** k)
+
+
+def test_spectral_norm_of_a_512_by_256_array():
+    rng = np.random.default_rng(5)
+    _assert_sigma1(rng.standard_normal((512, 256)) + 1j * rng.standard_normal((512, 256)))
+
+
+def test_spectral_norm_of_mixed_magnitudes():
+    # the 1e-300 entries' squares underflow in the Gram, which the 1 entries outweigh
+    rng = np.random.default_rng(9)
+    arr = np.where(rng.random((12, 7)) < 0.5, 1e-300, 1.0) * rng.standard_normal((12, 7))
+    _assert_sigma1(arr)
+    _assert_sigma1(arr.T * 1j)
+
+
+def test_spectral_norm_of_zero_and_empty_arrays_is_zero():
+    for arr in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 4)), np.zeros((1, 5), complex)):
+        assert _spectral_norm(arr) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_matrix_norm_at_extreme_magnitudes(scale):
+    # without the power-of-two scaling, the Gram of these entries underflows to 0
+    # or overflows to inf
+    arr = np.random.default_rng(3).standard_normal((64, 64)) * scale
+    expect = float(np.linalg.norm(arr, 2))
+    assert abs(operator_norm(MatrixOp(arr)).value - expect) <= 1e-13 * expect
 
 
 def test_norm_slack_brackets_declared_tail():
