@@ -15,7 +15,8 @@ An l2 operator in this class always decomposes as a dense block on the
 support of its rank-one terms (the coordinates they touch) direct sum a
 plain diagonal on the remaining coordinates; see :func:`block_tail`.  That
 split is what keeps norms, spectra and perturbation arithmetic exact
-downstream, at a cost set by the support, not by where it sits.  Only
+downstream, at a cost set by the support, not by where it sits.  Each
+operator builds it once, as its cached read-only ``form``.  Only
 :class:`BlockTail` knows how the two parts interleave.  No operation here
 factorizes to rebuild terms, so none can drop one: sums and products carry
 terms over one by one, and :func:`block_tail_op` makes one per column.
@@ -627,6 +628,25 @@ class OperatorRep:
     def adjoint(self) -> "OperatorRep":
         raise NotImplementedError
 
+    @cached_property
+    def form(self) -> "BlockTail":
+        """The :func:`block_tail` form of an l2 operator, built once: its diagonal on the
+        coordinates the rank-one terms touch, plus each term's outer product there."""
+        if not self.is_l2:
+            raise NotRepresentableError("block-tail form requires an l2 operator")
+        diagonal, terms = _diagonal_terms(self)
+        support = tuple(sorted({i for t in terms for v in (t.left, t.right) for i, _ in v.entries}))
+
+        def on_support(v: Vec) -> np.ndarray:
+            entries = dict(v.entries)
+            return np.array([entries.get(i, 0j) for i in support], dtype=complex)
+
+        block = np.diag(diagonal.values_at(np.array(support, dtype=np.int64)).astype(complex))
+        for t in terms:
+            block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
+        block.setflags(write=False)
+        return BlockTail(support, block, diagonal)
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixOp(OperatorRep):
@@ -700,12 +720,18 @@ class SumOp(OperatorRep):
             raise ValueError("sum base must be a matrix or diagonal operator, not a nested sum")
         object.__setattr__(self, "shift", _as_scalar(self.shift))
         object.__setattr__(self, "terms", tuple(self.terms))
-        if isinstance(self.base, MatrixOp):
-            if self.shift != 0 and self.base.rows != self.base.cols:
-                raise ValueError("shift requires a square matrix base")
-            for t in self.terms:
-                if t.left.max_index > self.base.cols or t.right.max_index > self.base.rows:
-                    raise ValueError("rank-one support exceeds matrix base dimension")
+        if isinstance(self.base, DiagonalOp):
+            if any(v.dim is not None for t in self.terms for v in (t.left, t.right)):
+                raise ValueError("rank-one vectors on l2 have no finite dimension")
+            return
+        rows, cols = self.base.array.shape  # right vectors live in C^rows, left ones in C^cols
+        if self.shift != 0 and rows != cols:
+            raise ValueError("shift requires a square matrix base")
+        for t in self.terms:
+            if t.left.max_index > cols or t.right.max_index > rows:
+                raise ValueError("rank-one support exceeds matrix base dimension")
+            if t.left.dim not in (None, cols) or t.right.dim not in (None, rows):
+                raise ValueError("rank-one vector dimension differs from the matrix base's")
 
     @property
     def is_l2(self) -> bool:
@@ -796,10 +822,10 @@ class BlockTail:
     """Exact split of an l2 operator over span{e_i : i in support} (+) its complement.
 
     ``support`` holds the sorted 1-based coordinates the block acts on;
-    ``block`` is the dense operator there, in support order.  On every other
-    coordinate the operator multiplies by the entry of ``tail``.  The
-    methods below are the only code that maps between block rows, tail
-    positions and l2 indices.
+    ``block`` is the dense operator there, in support order, read-only in a
+    form :func:`block_tail` returns.  On every other coordinate the operator
+    multiplies by the entry of ``tail``.  The methods below are the only
+    code that maps between block rows, tail positions and l2 indices.
     """
 
     support: tuple[int, ...]
@@ -856,37 +882,26 @@ class BlockTail:
         return Vec(tuple(zip(self.support, np.asarray(v, dtype=complex).tolist())), None)
 
 
-def _term_support(op: OperatorRep) -> set[int]:
-    """The coordinates the rank-one terms of ``op`` touch."""
-    return {i for t in getattr(op, "terms", ()) for v in (t.left, t.right) for i, _ in v.entries}
-
-
 def block_tail(op: OperatorRep, support=None) -> BlockTail:
-    """Canonical block-plus-tail form of an l2 operator.
+    """Canonical block-plus-tail form of an l2 operator: its cached ``form``.
 
-    The block sits on the coordinates the rank-one terms touch, or on
-    ``support``, a sorted superset of them; the operator reduces over their
-    span and its complement, so the split is exact, not an approximation,
-    and its size does not depend on how far out the terms sit.
+    The block sits on the coordinates the rank-one terms touch; the operator
+    reduces over their span and its complement, so the split is exact, not an
+    approximation, and its size does not depend on how far out the terms sit.
+    ``support``, a strictly increasing superset of them, pads it with tail entries.
     """
-    if isinstance(op, DiagonalOp):
-        op = SumOp(op)
-    if not (isinstance(op, SumOp) and isinstance(op.base, DiagonalOp)):
-        raise NotRepresentableError("block-tail form requires an l2 operator")
-    own = _term_support(op)
-    support = tuple(sorted(own) if support is None else support)
-    if not own.issubset(support):
-        raise ValueError("block support must hold every coordinate the rank-one terms touch")
-
-    def on_support(v: Vec) -> np.ndarray:
-        entries = dict(v.entries)
-        return np.array([entries.get(i, 0j) for i in support], dtype=complex)
-
-    tail = op.diagonal
-    block = np.diag(np.asarray(tail.values_at(np.array(support, dtype=np.int64)), dtype=complex))
-    for t in op.terms:
-        block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
-    return BlockTail(support, block, tail)
+    form = op.form
+    support = form.support if support is None else tuple(support)
+    if support == form.support:
+        return form
+    if any(a >= b for a, b in zip(support, support[1:])) or not set(form.support) <= set(support):
+        raise ValueError("block support must be strictly increasing and hold every "
+                         "coordinate the rank-one terms touch")
+    at = np.searchsorted(support, form.support)
+    block = np.diag(form.tail.values_at(np.array(support, dtype=np.int64)).astype(complex))
+    block[np.ix_(at, at)] = form.block
+    block.setflags(write=False)
+    return BlockTail(support, block, form.tail)
 
 
 def block_tail_op(bt: BlockTail) -> OperatorRep:
@@ -994,7 +1009,7 @@ def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
 
 def _common_support(a: OperatorRep, b: OperatorRep) -> tuple[BlockTail, BlockTail]:
     """Block-tail forms of two l2 operators, both on the union of their supports."""
-    support = sorted(_term_support(a) | _term_support(b))
+    support = sorted({*block_tail(a).support, *block_tail(b).support})
     return block_tail(a, support), block_tail(b, support)
 
 
@@ -1181,7 +1196,10 @@ def scalar_to_json(z) -> Union[float, list]:
 def scalar_from_json(obj) -> complex:
     parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj]
     if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
-        return _as_scalar(complex(*parts))
+        try:
+            return _as_scalar(complex(*parts))
+        except OverflowError:  # an integer past the float range
+            pass
     raise ValueError(f"bad scalar {obj!r}; expected number or [re, im]")
 
 

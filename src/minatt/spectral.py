@@ -37,7 +37,7 @@ from .operators import (
     scalar_to_json,
     tail_diverges,
 )
-from .operators import _dense, _diagonal_terms, _term_support  # shared within the package
+from .operators import _dense  # shared within the package
 
 __all__ = [
     "AttainmentCertificate",
@@ -62,7 +62,7 @@ MULTIPLICITY_TOL = 1e-9
 # weyl_check: a declared point counts as recovered within this distance
 MATCH_TOL = 1e-3
 
-# Self-adjointness and positivity look at this many diagonal entries.
+# Positivity looks at this many diagonal entries.
 SAMPLE = 4096
 
 # Accumulation detection from raw truncation eigenvalues: a point is flagged
@@ -262,8 +262,9 @@ def _hermitian(arr: np.ndarray) -> bool:
     return float(np.max(np.abs(arr - arr.conj().T), initial=0.0)) <= HERMITIAN_TOL * scale
 
 
-def _not_self_adjoint(op: OperatorRep, sample: int = SAMPLE) -> str:
-    """Why T is not self-adjoint, or "" when it is (on the first ``sample`` tail entries)."""
+def _not_self_adjoint(op: OperatorRep) -> str:
+    """Why T is not self-adjoint, or "" when its matrix, or its block and declared points,
+    are.  It reads no tail entry: ``_with_tail`` refuses one off the real line."""
     if not op.is_l2:
         arr = _dense(op)
         if arr.shape[0] != arr.shape[1]:
@@ -272,11 +273,6 @@ def _not_self_adjoint(op: OperatorRep, sample: int = SAMPLE) -> str:
     bt = block_tail(op)
     if not _hermitian(bt.block):
         return "block not self-adjoint"
-    imag = 0.0
-    for _, vals in bt.tail_blocks(sample):
-        imag = np.maximum(imag, np.max(np.abs(vals.imag)))
-    if imag > HERMITIAN_TOL:
-        return "diagonal entries not real"
     for p in accumulation_points(bt.tail.tail):
         if abs(p.imag) > HERMITIAN_TOL:
             return f"accumulation point {p} not real"
@@ -284,20 +280,24 @@ def _not_self_adjoint(op: OperatorRep, sample: int = SAMPLE) -> str:
 
 
 def _lowest_point(op: OperatorRep) -> float:
-    """Lowest sampled spectral point of a self-adjoint T: the eigenvalues of
-    its ``SAMPLE`` truncation and its declared accumulation points."""
-    points = [p.real for p in accumulation_points(_diagonal_terms(op)[0].tail)] if op.is_l2 else []
+    """Lowest sampled spectral point of T: the eigenvalues of its ``SAMPLE`` truncation, whose
+    tail entries must be real (``_NotReal``), and its declared accumulation points."""
+    points = [p.real for p in accumulation_points(block_tail(op).tail.tail)] if op.is_l2 else []
     return min([float(np.min(_truncation_eigs(op, SAMPLE), initial=math.inf))] + points)
 
 
 def _positivity(op: OperatorRep) -> tuple[bool, str]:
-    """Check self-adjointness plus nonnegative spectrum on the sample prefix."""
+    """Check self-adjointness plus nonnegative spectrum on the sample prefix, read once and
+    before the declared points, so an entry off the real line is named first."""
     why = _not_self_adjoint(op)
-    if why:
+    if why and not why.startswith("accumulation point"):
         return False, why
-    lo = _lowest_point(op)
-    if lo < -HERMITIAN_TOL:
-        return False, f"negative spectral point {lo}"
+    try:
+        lo = _lowest_point(op)
+    except _NotReal:
+        return False, "diagonal entries not real"
+    if why or lo < -HERMITIAN_TOL:
+        return False, why or f"negative spectral point {lo}"
     return True, ""
 
 
@@ -405,17 +405,20 @@ def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentC
 
 
 def _require_self_adjoint(op: OperatorRep):
-    # no tail entry is read: the pass that evaluates the prefix refuses one off the real line
-    why = _not_self_adjoint(op, 0)
+    why = _not_self_adjoint(op)
     if why:
         raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
 
+class _NotReal(ValueError):
+    """A diagonal entry off the real line, in an operator that must be self-adjoint."""
+
+
 def _real(vals: np.ndarray) -> np.ndarray:
-    """The real parts of diagonal entries; ValueError when one is off the real line."""
+    """The real parts of diagonal entries; ``_NotReal`` when one is off the real line."""
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag), initial=0.0) > HERMITIAN_TOL:
-        raise ValueError("spectral reports require a self-adjoint operator: "
-                         "diagonal entries not real")
+        raise _NotReal("spectral reports require a self-adjoint operator: "
+                       "diagonal entries not real")
     return vals.real
 
 
@@ -483,7 +486,7 @@ def _sorted_eigs(op: OperatorRep, n: int) -> np.ndarray:
     """``_truncation_eigs(op, n)``, sorted: the tail part after one eigenvalue per
     coordinate of the block is usually one run, which ``_sort`` orders in O(N)."""
     eigs = _truncation_eigs(op, n)
-    _sort(eigs, len(_term_support(op)) if op.is_l2 else eigs.size)
+    _sort(eigs, block_tail(op).k if op.is_l2 else eigs.size)
     return eigs
 
 
@@ -511,7 +514,7 @@ def _declared(op: OperatorRep) -> tuple[tuple[float, ...], bool]:
     """The declared essential set, sorted, and whether the tail diverges (neither for matrices)."""
     if not op.is_l2:
         return (), False
-    tail = _diagonal_terms(op)[0].tail
+    tail = block_tail(op).tail.tail
     return tuple(sorted(p.real for p in accumulation_points(tail))), tail_diverges(tail)
 
 
@@ -616,12 +619,12 @@ def _detected_both(op: OperatorRep, perturbed: OperatorRep, n: int) -> list[tupl
     values (block eigenvalues, tail entries on the rest of the union) join it in the one pass."""
     if not op.is_l2:
         return [_detect_accumulation(_sorted_eigs(s, n), [np.zeros(0)])[0] for s in (op, perturbed)]
-    shared = block_tail(op, sorted(_term_support(op) | _term_support(perturbed)))
+    shared = block_tail(op, sorted({*block_tail(op).support, *block_tail(perturbed).support}))
     eigs = _with_tail(np.zeros(0), shared, n)
     _sort(eigs, 0)
     owns = []
     for side in (op, perturbed):
-        support = _term_support(side)
+        support = set(block_tail(side).support)
         rest = np.array([i for i in shared.support if i <= n and i not in support], dtype=np.int64)
         # n = 0: the side's block eigenvalues alone
         owns.append(np.sort(np.concatenate((_truncation_eigs(side, 0),

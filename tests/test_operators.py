@@ -445,10 +445,14 @@ def test_sum_apply_keeps_the_fold_on_cancellation_and_dimensions():
     got = op.apply(x)
     assert repr(got) == repr(_apply_by_fold(op, x))
     assert got.entries == ((2, 0.5j), (3, -4 + 0j)) and got.dim == 3
-    wrong = add_rank_one(op, RankOneTerm(1.0, e1, Vec.basis(1, 4)))
-    for apply in (wrong.apply, lambda v: _apply_by_fold(wrong, v)):
+    # a term vector of another dimension is refused when the sum is built; the shift
+    # still adds x itself, whose dimension may differ from the base's
+    with pytest.raises(ValueError, match="dimension differs"):
+        add_rank_one(op, RankOneTerm(1.0, e1, Vec.basis(1, 4)))
+    wrong = Vec(((1, 1.0),), 4)
+    for apply in (op.apply, lambda v: _apply_by_fold(op, v)):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            apply(x)
+            apply(wrong)
 
 
 def test_adding_a_zero_tail_keeps_the_other_tail_object():
@@ -710,6 +714,7 @@ def test_l2_sum_and_product_build_no_block(monkeypatch):
         raise AssertionError("an l2 sum or product built a block")
     for name in ("block_tail", "_common_support", "block_tail_op"):
         monkeypatch.setattr(operators, name, refuse)
+    monkeypatch.setattr(operators.OperatorRep, "form", property(refuse))  # nor reads a form
     r = math.sqrt(0.5)
     x = Vec(((1, r), (4, r)), None)
     t = named_diagonal("one_plus_inv_n")
@@ -746,6 +751,46 @@ def test_block_tail_on_a_wider_support():
     np.testing.assert_array_equal(np.diag(wide.block)[[0, 3]], [1.0, 1.0 / 7.0])
     with pytest.raises(ValueError):
         block_tail(op, (1, 2, 3))
+    for unsorted in ((1, 4, 2, 7), (1, 2, 2, 4, 7)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            block_tail(op, unsorted)
+
+
+def _block_from_terms(op, support) -> np.ndarray:
+    """The block of ``op`` on ``support`` summed from its diagonal and terms."""
+    diagonal, terms = (op.diagonal, op.terms) if isinstance(op, SumOp) else (op.seq, ())
+
+    def on_support(v):
+        entries = dict(v.entries)
+        return np.array([entries.get(i, 0j) for i in support], dtype=complex)
+    block = np.diag(diagonal.values_at(np.array(support, dtype=np.int64)).astype(complex))
+    for t in terms:
+        block = block + t.coeff * np.outer(on_support(t.right), on_support(t.left).conj())
+    return block
+
+
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_padded_forms_equal_the_block_summed_on_the_superset(seed):
+    rng = np.random.default_rng(seed)
+    op = _random_l2(rng, ("inv_n", "one_plus_inv_n")[rng.integers(2)])
+    form = block_tail(op)
+    extra = rng.choice(np.arange(1, 17), int(rng.integers(0, 9)), replace=False).tolist()
+    support = tuple(sorted(set(form.support) | set(extra)))
+    padded = block_tail(op, support)
+    assert padded.support == support and padded.tail is form.tail
+    # array_equal takes -0.0 == 0.0: only the signs of zeros may differ
+    assert np.array_equal(padded.block, _block_from_terms(op, support))
+    assert np.array_equal(form.block, _block_from_terms(op, form.support))
+
+
+def test_forms_are_built_once_and_read_only():
+    t = named_diagonal("one_plus_inv_n")
+    op = add_rank_one(t, RankOneTerm(0.5, Vec.basis(4), Vec.basis(2)))
+    for target in (t, op):
+        assert block_tail(target) is block_tail(target) is target.form
+    for bt in (block_tail(t), block_tail(op), block_tail(op, (1, 2, 4)), block_tail(t, (3,))):
+        with pytest.raises(ValueError, match="read-only"):
+            bt.block[...] = 0.0
 
 
 def test_truncate_refuses_to_cut_through_terms():
@@ -852,6 +897,26 @@ def test_scalar_json_round_trip():
     assert scalar_from_json([1.0, 2.0]) == 1 + 2j
     with pytest.raises(ValueError):
         scalar_from_json("nope")
+    # integers past the float range are bad scalars, not an OverflowError
+    for huge in (10**400, [0, -10**400]):
+        with pytest.raises(ValueError, match="bad scalar"):
+            scalar_from_json(huge)
+
+
+def test_sum_refuses_term_vectors_of_another_space():
+    def doc(base, left, right):
+        return {"variant": "sum", "base": base,
+                "terms": [{"coeff": 1.0, "left": left, "right": right}]}
+    l2 = {"variant": "diagonal", "generator": "inv_n"}
+    with pytest.raises(ValueError, match="no finite dimension"):
+        operator_from_json(doc(l2, {"basis": 2}, {"basis": 2, "dim": 3}))
+    # a 3 x 2 matrix: left vectors live in C^2, right ones in C^3
+    wide = {"variant": "matrix", "data": [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]}
+    operator_from_json(doc(wide, {"basis": 1, "dim": 2}, {"basis": 1, "dim": 3}))
+    for left, right in (({"basis": 1, "dim": 3}, {"basis": 1}),
+                        ({"basis": 1}, {"basis": 1, "dim": 2})):
+        with pytest.raises(ValueError, match="dimension differs"):
+            operator_from_json(doc(wide, left, right))
 
 
 def test_matrix_json_round_trip():

@@ -16,6 +16,7 @@ from minatt.operators import (
     InconclusiveError,
     MatrixOp,
     NormBound,
+    OperatorRep,
     RankOneTerm,
     SumOp,
     Vec,
@@ -409,6 +410,25 @@ def test_case1_construction_certifies_the_operator_once(monkeypatch):
     res, calls = counted(bounded_below_perturbation, scale_shift(op, -1.0, 0.0), 0.1)
     assert res.case is PerturbationCase.BOUNDED_BELOW_RANK_ONE
     assert calls == {"_positivity": 0, "minimum_modulus": 1}
+
+
+def test_each_operator_builds_its_form_once(monkeypatch):
+    # a spy on the builds themselves: cache hits and padded forms are not counted
+    built = []
+    prop = OperatorRep.__dict__["form"]
+    monkeypatch.setattr(prop, "func", lambda op, _real=prop.func: built.append(op) or _real(op))
+    op = scale_shift(named_diagonal("one_plus_inv_n"), 1.1, 0.2)
+    res = attainment_perturbation(op, 1e-2)
+    assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
+    assert verify_perturbation(op, res).passed
+    assert len(built) == 3 and built[0] is op  # T, S and T + S
+    built.clear()
+    assert verify_perturbation(op, attainment_perturbation(op, 1e-2)).passed
+    assert len(built) == 2 and all(b is not op for b in built)
+    built.clear()
+    spectral.weyl_check(scale_shift(named_diagonal("one_plus_inv_n"), 1.1, 0.2),
+                        [RankOneTerm(-0.5, Vec.basis(5), Vec.basis(5))])
+    assert len(built) == 2
 
 
 def _tail_scans(monkeypatch):

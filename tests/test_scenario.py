@@ -98,6 +98,16 @@ _BOOLEAN_SCALARS = [
                                        "terms": [{"coeff": True, "index": 5}]}),
 ]
 
+# integers past the float range, and vectors of C^n in a sum on l2
+_OUT_OF_RANGE = [
+    lambda d: d["operators"].update(bumped={**_sum_term({"basis": 2}), "shift": 10**400}),
+    lambda d: d["operators"].update(huge_matrix={"variant": "matrix",
+                                                 "data": [[10**400, 0], [0, 1]]}),
+    lambda d: d["experiments"].append({"kind": "weyl", "target": "drop",
+                                       "terms": [{"coeff": 10**400, "index": 5}]}),
+    lambda d: d["operators"].update(bumped=_sum_term({"basis": 2, "dim": 3})),
+]
+
 
 def _sum_term(vec):
     return {"variant": "sum", "base": {"variant": "diagonal", "generator": "inv_n"},
@@ -191,6 +201,7 @@ def test_valid_config_loads():
     lambda d: d["operators"].update(string_flag={"variant": "diagonal", "generator": "linear_n",
                                                  "tail": {"kind": "declared", "points": [],
                                                           "diverges_to_infinity": "false"}}),
+    *_OUT_OF_RANGE,
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -485,7 +496,7 @@ def test_cli_exit_two_on_unusable_config(tmp_path, capsys):
         malformed = _config_doc()
         malformed["experiments"][-1]["terms"] = [term]
         assert main(["run", _write_config(tmp_path, malformed)]) == 2
-    for mutate in _NOT_INTEGERS + _NUMERIC_STRINGS + _BOOLEAN_SCALARS:
+    for mutate in _NOT_INTEGERS + _NUMERIC_STRINGS + _BOOLEAN_SCALARS + _OUT_OF_RANGE:
         unusable = _config_doc()
         mutate(unusable)
         assert main(["run", _write_config(tmp_path, unusable)]) == 2

@@ -372,7 +372,7 @@ def test_spectrum_runs_one_eigvalsh(monkeypatch):
 
 
 def _probe(n):
-    """1 + 1/n, off the real line by 0.5i at n = 5000, past the self-adjointness sample."""
+    """1 + 1/n, off the real line by 0.5i at n = 5000, past the positivity sample."""
     return (1 + 1 / n + 0.5j * (n == 5000)).astype(complex)
 
 
@@ -390,6 +390,38 @@ def test_spectral_reports_refuse_a_non_real_entry_anywhere_in_the_prefix():
         with pytest.raises(ValueError, match=not_real):
             report()
     assert essential_spectrum(op, prefix=4999).truncation == 4999
+
+
+def test_positivity_reads_its_sample_once(monkeypatch):
+    read = []
+    real = DiagSeq.values_at
+
+    def spy(seq, indices):
+        if seq.root is None and seq.const_value is None:
+            read.append(len(indices))
+        return real(seq, indices)
+    monkeypatch.setattr(DiagSeq, "values_at", spy)
+    op = scale_shift(named_diagonal("one_plus_inv_n"), 1.1, 0.2)
+    assert spectral._positivity(op) == (True, "")
+    assert sum(read) == SAMPLE
+    # the pass that reads the sample refuses an entry off the real line; a generator's
+    # own error is not taken for one
+    probe = diagonal_seq(None, ConvergesTo(1.0),
+                         vec_fn=lambda n: (1 + 1 / n + 0.5j * (n == 3000)).astype(complex))
+    assert spectral._positivity(DiagonalOp(probe)) == (False, "diagonal entries not real")
+    # entries off the real line are named before a declared point off it, which is named
+    # when the entries are real
+    rotated = scale_shift(named_diagonal("one_plus_inv_n"), 1j, 0.0)
+    assert spectral._positivity(rotated) == (False, "diagonal entries not real")
+    misdeclared = DiagonalOp(DiagSeq(ConvergesTo(1j), gen=named_diagonal("inv_n").seq.gen))
+    assert spectral._positivity(misdeclared) == (False, "accumulation point 1j not real")
+
+    def broken(n):
+        if n.size:  # the form of a diagonal asks for no entry
+            raise ValueError("generator failed")
+        return n.astype(float)
+    with pytest.raises(ValueError, match="generator failed"):
+        spectral._positivity(DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=broken)))
 
 
 def test_spectrum_requires_self_adjointness():
