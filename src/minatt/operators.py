@@ -25,7 +25,7 @@ terms over one by one, and :func:`block_tail_op` makes one per column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Union
 
@@ -674,6 +674,8 @@ class MatrixOp(OperatorRep):
         return False
 
     def apply(self, x: Vec) -> Vec:
+        if x.dim is not None and x.dim != self.cols:
+            raise ValueError(f"dimension mismatch: {self.cols} vs {x.dim}")
         if x.max_index > self.cols:
             raise ValueError("vector support exceeds matrix domain")
         return Vec.from_dense(self.array @ x.dense(self.cols), dim=self.rows)
@@ -818,6 +820,22 @@ def list_generators() -> list[str]:
 
 
 @dataclass(frozen=True)
+class TailSummary:
+    """What the prefix decisions ask of a tail at 1..n off the support, from one pass.
+
+    ``abs_min`` is the smallest |t_i| and ``abs_at`` the first index holding
+    it (inf and None when no index is read), ``real_min`` the smallest real
+    part (inf likewise) and ``imag_max`` the largest |imag|, 0.0 for a
+    float64 tail, whose entries are real.
+    """
+
+    abs_min: float
+    abs_at: int | None
+    real_min: float
+    imag_max: float
+
+
+@dataclass(frozen=True)
 class BlockTail:
     """Exact split of an l2 operator over span{e_i : i in support} (+) its complement.
 
@@ -831,6 +849,7 @@ class BlockTail:
     support: tuple[int, ...]
     block: np.ndarray
     tail: DiagSeq
+    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -876,6 +895,34 @@ class BlockTail:
         for indices in self.tail_indices(stop, start):
             base = root.values_at(indices)
             yield self.tail.from_root_values(base), other.tail.from_root_values(base)
+
+    def summary(self, n: int) -> TailSummary:
+        """The :class:`TailSummary` of the tail at 1..n off the support.
+
+        It is built in one streamed pass the first time it is asked for and
+        kept on this form, keyed by n, so m(T), its witness and positivity
+        over one prefix read each entry once between them, however often
+        they are asked.  That assumes generators are pure functions of the
+        index, as the cached form and ``shared_root`` do; two threads that
+        ask at once may both scan, and keep equal summaries.
+        """
+        got = self._summaries.get(n)
+        if got is None:
+            # per block: the smallest |entry|, the first index holding it, the smallest
+            # real part and, when complex, the largest |imag|
+            mins, where, real_min, imag_max = [], [], math.inf, 0.0
+            for indices, vals in self.tail_blocks(n):
+                mags = np.abs(vals)
+                i = mags.argmin()
+                mins.append(mags[i])
+                where.append(int(indices[i]))
+                real_min = min(real_min, float(vals.real.min()))
+                if vals.dtype.kind == "c":
+                    imag_max = max(imag_max, float(np.abs(vals.imag).max()))
+            got = self._summaries[n] = TailSummary(
+                float(np.min(mins, initial=math.inf)),
+                where[int(np.argmin(mins))] if mins else None, real_min, imag_max)
+        return got
 
     def embed(self, v: np.ndarray) -> Vec:
         """The l2 vector whose support coordinates are the block vector ``v``."""

@@ -173,7 +173,7 @@ def near_minimizer(op: OperatorRep, epsilon: float, *, prefix: int = DEFAULT_PRE
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _require_positive(op, "near_minimizer")
+    _require_positive(op, "near_minimizer", prefix)
     return _near_minimizer(op, epsilon, minimum_modulus(op, prefix=prefix), prefix, scan_limit)[0]
 
 
@@ -257,7 +257,7 @@ def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _require_positive(op, "attainment_perturbation_positive")
+    _require_positive(op, "attainment_perturbation_positive", prefix)
     return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
 
 
@@ -277,7 +277,7 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    ok, _ = _positivity(op)
+    ok, _ = _positivity(op, prefix)
     if ok:
         return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
     parts, base = _polar(op, prefix)

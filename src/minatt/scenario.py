@@ -16,6 +16,7 @@ identical bytes apart from the ``timing`` section.
 from __future__ import annotations
 
 import csv
+import difflib
 import io
 import json
 import math
@@ -54,9 +55,19 @@ class ConfigError(ValueError):
 
 DEFAULT_TOLERANCE = 1e-8
 
-_KINDS = ("perturb", "gap", "spectrum", "weyl")
 _VARIANTS = ("auto", "positive", "general", "bounded_below")
 _ROUTES = ("auto", "graph", "closed_form", "diagonal")
+
+# the keys each level of a config may hold: a misspelt key is refused, since it
+# would otherwise leave its default in force without a word
+_TOP_KEYS = ("operators", "defaults", "experiments")
+_DEFAULT_KEYS = ("truncationN", "tolerance")
+_EXPERIMENT_KEYS = ("kind", "name", "truncationN", "tolerance", "seed", "expect")
+_KIND_KEYS = {"perturb": ("target", "epsilon", "variant"),
+              "gap": ("left", "right", "route", "randomPairs", "dims"),
+              "spectrum": ("target",),
+              "weyl": ("target", "terms")}
+_KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,15 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _known_keys(obj: dict, allowed: tuple[str, ...], ctx: str):
+    """ConfigError naming the first key of ``obj`` outside ``allowed`` and the allowed key
+    nearest to it."""
+    for key in obj:
+        if key not in allowed:
+            nearest = difflib.get_close_matches(str(key), allowed, n=1, cutoff=0.0)[0]
+            raise ConfigError(f"{ctx}: unknown key {key!r}; nearest allowed key {nearest!r}")
+
+
 def _number(value, kind, what: str):
     """``kind(value)`` of a number; a string, a bool or a value that does not convert is a
     ConfigError."""
@@ -149,12 +169,15 @@ def _positive(value, what: str) -> float:
 def load_config(doc: dict) -> ScenarioConfig:
     """Validate a parsed JSON document into a scenario config.
 
-    All structural problems (unknown kinds, unresolvable operator names,
-    bad generators, values that are not numbers or not in range) surface
-    here as :class:`ConfigError`, before anything runs.
+    All structural problems (unknown keys and kinds, unresolvable operator
+    names, bad generators, values that are not numbers or not in range)
+    surface here as :class:`ConfigError`, before anything runs.  The keys
+    of the top level, of ``defaults`` and of each experiment kind are
+    closed sets; operator documents are read by :func:`operator_from_json`.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    _known_keys(doc, _TOP_KEYS, "config")
     raw_ops = doc.get("operators", {})
     if not isinstance(raw_ops, dict):
         raise ConfigError("'operators' must map names to operator documents")
@@ -170,6 +193,7 @@ def load_config(doc: dict) -> ScenarioConfig:
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be an object")
+    _known_keys(defaults, _DEFAULT_KEYS, "defaults")
     truncation = _integer(defaults.get("truncationN", DEFAULT_PREFIX), "defaults.truncationN")
     tolerance = _positive(defaults.get("tolerance", DEFAULT_TOLERANCE), "defaults.tolerance")
     if truncation < 1:
@@ -183,6 +207,7 @@ def load_config(doc: dict) -> ScenarioConfig:
         kind = _require(exp, "kind", ctx)
         if kind not in _KINDS:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; expected one of {_KINDS}")
+        _known_keys(exp, _EXPERIMENT_KEYS + _KIND_KEYS[kind], ctx)
         name = exp.get("name", f"{kind}-{i}")
         if not isinstance(name, str) or name in seen:
             raise ConfigError(f"{ctx}: experiment name {name!r} is a duplicate or not a string")

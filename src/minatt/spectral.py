@@ -62,7 +62,7 @@ MULTIPLICITY_TOL = 1e-9
 # weyl_check: a declared point counts as recovered within this distance
 MATCH_TOL = 1e-3
 
-# Positivity looks at this many diagonal entries.
+# Positivity looks at no fewer diagonal entries than this.
 SAMPLE = 4096
 
 # Accumulation detection from raw truncation eigenvalues: a point is flagged
@@ -188,14 +188,8 @@ def _minimum_modulus(op: OperatorRep, prefix: int) -> tuple[AttainmentCertificat
         return _matrix_certificate(arr, s, vh), float(s[0])
 
     bt = block_tail(op)
-    # per block: the smallest |entry| and the first index holding it
-    mins, where = [], []
-    for indices, vals in bt.tail_blocks(prefix):
-        scan = np.abs(vals)
-        i = int(np.argmin(scan))
-        mins.append(scan[i])
-        where.append(int(indices[i]))
-    scan_min = float(np.min(mins, initial=math.inf))
+    summary = bt.summary(prefix)
+    scan_min = summary.abs_min
     tail_inf = _tail_abs_inf(bt)
 
     _, s, vh = np.linalg.svd(bt.block)
@@ -205,7 +199,7 @@ def _minimum_modulus(op: OperatorRep, prefix: int) -> tuple[AttainmentCertificat
             witness = bt.embed(vh[-1].conj())
             value = block_min
         else:
-            witness = Vec.basis(where[int(np.argmin(mins))])
+            witness = Vec.basis(summary.abs_at)
             value = scan_min
         applied = op.apply(witness)
         residual = abs(applied.norm() / witness.norm() - value)
@@ -239,7 +233,7 @@ def is_minimum_attaining(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> At
     """
     cert = minimum_modulus(op, prefix=prefix)
     if cert.attained:
-        ok, _ = _positivity(op)
+        ok, _ = _positivity(op, prefix)
         if ok:
             size = 64
             if cert.witness is not None:
@@ -262,9 +256,10 @@ def _hermitian(arr: np.ndarray) -> bool:
     return float(np.max(np.abs(arr - arr.conj().T), initial=0.0)) <= HERMITIAN_TOL * scale
 
 
-def _not_self_adjoint(op: OperatorRep) -> str:
-    """Why T is not self-adjoint, or "" when its matrix, or its block and declared points,
-    are.  It reads no tail entry: ``_with_tail`` refuses one off the real line."""
+def _not_self_adjoint(op: OperatorRep, prefix: int | None = None) -> str:
+    """Why T is not self-adjoint, or "" when its matrix, or its block, its tail entries at
+    1..``prefix`` (``BlockTail.summary``) and its declared points, are.  Without a prefix it
+    reads no tail entry: the spectral reports' ``_with_tail`` refuses one off the real line."""
     if not op.is_l2:
         arr = _dense(op)
         if arr.shape[0] != arr.shape[1]:
@@ -273,36 +268,40 @@ def _not_self_adjoint(op: OperatorRep) -> str:
     bt = block_tail(op)
     if not _hermitian(bt.block):
         return "block not self-adjoint"
+    if prefix is not None and bt.summary(prefix).imag_max > HERMITIAN_TOL:
+        return "diagonal entries not real"
     for p in accumulation_points(bt.tail.tail):
         if abs(p.imag) > HERMITIAN_TOL:
             return f"accumulation point {p} not real"
     return ""
 
 
-def _lowest_point(op: OperatorRep) -> float:
-    """Lowest sampled spectral point of T: the eigenvalues of its ``SAMPLE`` truncation, whose
-    tail entries must be real (``_NotReal``), and its declared accumulation points."""
-    points = [p.real for p in accumulation_points(block_tail(op).tail.tail)] if op.is_l2 else []
-    return min([float(np.min(_truncation_eigs(op, SAMPLE), initial=math.inf))] + points)
+def _lowest_point(op: OperatorRep, prefix: int) -> float:
+    """Lowest spectral point of T seen over ``prefix`` entries: its matrix's least eigenvalue,
+    or its block's, its tail summary's least real part and its declared accumulation points."""
+    if not op.is_l2:
+        return float(np.min(np.linalg.eigvalsh(_dense(op)), initial=math.inf))
+    bt = block_tail(op)
+    points = [p.real for p in accumulation_points(bt.tail.tail)]
+    block = np.linalg.eigvalsh(0.5 * (bt.block + bt.block.conj().T))
+    return min([float(np.min(block, initial=bt.summary(prefix).real_min))] + points)
 
 
-def _positivity(op: OperatorRep) -> tuple[bool, str]:
-    """Check self-adjointness plus nonnegative spectrum on the sample prefix, read once and
-    before the declared points, so an entry off the real line is named first."""
-    why = _not_self_adjoint(op)
-    if why and not why.startswith("accumulation point"):
+def _positivity(op: OperatorRep, prefix: int) -> tuple[bool, str]:
+    """Self-adjointness plus a nonnegative spectrum over max(prefix, ``SAMPLE``) entries,
+    read from the one tail summary ``minimum_modulus`` at that prefix also reads."""
+    n = max(prefix, SAMPLE)
+    why = _not_self_adjoint(op, n)
+    if why:
         return False, why
-    try:
-        lo = _lowest_point(op)
-    except _NotReal:
-        return False, "diagonal entries not real"
-    if why or lo < -HERMITIAN_TOL:
-        return False, why or f"negative spectral point {lo}"
+    lo = _lowest_point(op, n)
+    if lo < -HERMITIAN_TOL:
+        return False, f"negative spectral point {lo}"
     return True, ""
 
 
-def _require_positive(op: OperatorRep, who: str):
-    ok, why = _positivity(op)
+def _require_positive(op: OperatorRep, who: str, prefix: int):
+    ok, why = _positivity(op, prefix)
     if not ok:
         raise ValueError(f"{who} requires a positive operator: {why}")
 
@@ -314,9 +313,10 @@ def _sqrt_psd(arr: np.ndarray) -> np.ndarray:
     return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
-def square_root(op: OperatorRep) -> OperatorRep:
-    """The positive square root of a positive operator, exactly representable."""
-    _require_positive(op, "square_root")
+def square_root(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> OperatorRep:
+    """The positive square root of a positive operator, exactly representable; positivity
+    is checked over max(prefix, ``SAMPLE``) diagonal entries."""
+    _require_positive(op, "square_root", prefix)
     f = lambda a: np.sqrt(np.clip(a.real, 0.0, None))
     if not op.is_l2:
         return MatrixOp(_sqrt_psd(_dense(op)))
@@ -410,15 +410,11 @@ def _require_self_adjoint(op: OperatorRep):
         raise ValueError(f"spectral reports require a self-adjoint operator: {why}")
 
 
-class _NotReal(ValueError):
-    """A diagonal entry off the real line, in an operator that must be self-adjoint."""
-
-
 def _real(vals: np.ndarray) -> np.ndarray:
-    """The real parts of diagonal entries; ``_NotReal`` when one is off the real line."""
+    """The real parts of diagonal entries; ValueError when one is off the real line."""
     if np.iscomplexobj(vals) and np.max(np.abs(vals.imag), initial=0.0) > HERMITIAN_TOL:
-        raise _NotReal("spectral reports require a self-adjoint operator: "
-                       "diagonal entries not real")
+        raise ValueError("spectral reports require a self-adjoint operator: "
+                         "diagonal entries not real")
     return vals.real
 
 

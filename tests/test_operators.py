@@ -445,8 +445,8 @@ def test_sum_apply_keeps_the_fold_on_cancellation_and_dimensions():
     got = op.apply(x)
     assert repr(got) == repr(_apply_by_fold(op, x))
     assert got.entries == ((2, 0.5j), (3, -4 + 0j)) and got.dim == 3
-    # a term vector of another dimension is refused when the sum is built; the shift
-    # still adds x itself, whose dimension may differ from the base's
+    # a term vector of another dimension is refused when the sum is built, and an x of
+    # another dimension by the base's apply
     with pytest.raises(ValueError, match="dimension differs"):
         add_rank_one(op, RankOneTerm(1.0, e1, Vec.basis(1, 4)))
     wrong = Vec(((1, 1.0),), 4)
@@ -468,6 +468,16 @@ def test_matrix_rejects_vectors_past_its_columns():
     op = MatrixOp(np.eye(2))
     with pytest.raises(ValueError):
         op.apply(Vec.basis(3))
+
+
+def test_matrix_apply_refuses_a_vector_of_another_dimension():
+    # a vector of C^4 is refused whether or not a shift wraps the matrix
+    x = Vec(((1, 1.0),), 4)
+    for op in (MatrixOp(np.eye(3)), SumOp(MatrixOp(np.eye(3)), 1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 4"):
+            op.apply(x)
+        assert op.apply(Vec(((1, 1.0),), 3)).dim == 3
+        assert op.apply(Vec(((1, 1.0),), None)).dim == 3
 
 
 def test_sum_base_cannot_nest():

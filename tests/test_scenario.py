@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,51 @@ def test_structural_problems_raise_config_error(mutate):
     mutate(doc)
     with pytest.raises(ConfigError):
         load_config(doc)
+
+
+# a misspelt key would otherwise leave its default in force: "varient" ran the auto
+# variant and "rout" the auto route
+_UNKNOWN_KEYS = [
+    (lambda d: d["experiments"].append({"kind": "perturb", "target": "drop", "epsilon": 0.5,
+                                        "varient": "bounded_below"}), "varient", "variant"),
+    (lambda d: d["experiments"].append({"kind": "gap", "left": "drop", "right": "vanish",
+                                        "rout": "closed_form"}), "rout", "route"),
+    (lambda d: d.update(truncationN=5), "truncationN", None),
+    (lambda d: d.update(bogusKey=1), "bogusKey", None),
+    (lambda d: d["defaults"].update(tolerence=1e-3), "tolerence", "tolerance"),
+    (lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
+                                        "epsilon": 0.5}), "epsilon", None),
+]
+
+
+@pytest.mark.parametrize("mutate, key, nearest", _UNKNOWN_KEYS)
+def test_unknown_keys_are_config_errors(tmp_path, capsys, mutate, key, nearest):
+    doc = _config_doc()
+    mutate(doc)
+    with pytest.raises(ConfigError, match=f"unknown key {key!r}; nearest allowed key "
+                                          f"'{nearest or ''}") as err:
+        load_config(doc)
+    if nearest is None:
+        assert str(err.value).rsplit(" ", 1)[-1].strip("'") in (
+            "operators", "defaults", "experiments", "kind", "name", "truncationN",
+            "tolerance", "seed", "expect", "target")
+    assert main(["run", _write_config(tmp_path, doc)]) == 2
+    assert "bad config" in capsys.readouterr().err
+
+
+def test_every_allowed_key_loads():
+    doc = _config_doc()
+    doc["experiments"] = [
+        {"kind": "perturb", "name": "p", "target": "drop", "epsilon": 0.5, "variant": "auto",
+         "truncationN": 100, "tolerance": 1e-8, "seed": 1, "expect": {"value": 0.7}},
+        {"kind": "gap", "name": "g", "left": "drop", "right": "vanish", "route": "auto"},
+        {"kind": "gap", "name": "s", "randomPairs": 2, "dims": [1, 2], "seed": 3},
+        {"kind": "spectrum", "name": "sp", "target": "drop"},
+        {"kind": "weyl", "name": "w", "target": "drop", "terms": [{"coeff": -0.5, "index": 5}]},
+    ]
+    assert len(load_config(doc).experiments) == 5
+    load_config(json.loads((Path(__file__).resolve().parents[1] / "demos" / "scenario.json")
+                           .read_text(encoding="utf-8")))
 
 
 def test_integral_floats_are_integers():

@@ -247,7 +247,7 @@ def test_polar_reads_m_of_modulus_off_the_operator():
     # m(|T|) read off |T|; the l2 T is not positive, so it takes the polar path
     l2 = add_rank_one(scale_shift(named_diagonal("inv_n"), 1.0, -2.0),
                       RankOneTerm(0.3, Vec.basis(5), Vec.basis(7)))
-    assert not spectral._positivity(l2)[0]
+    assert not spectral._positivity(l2, 1000)[0]
     rng = np.random.default_rng(23)
     matrix = MatrixOp(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     indices = []
@@ -402,26 +402,33 @@ def test_positivity_reads_its_sample_once(monkeypatch):
         return real(seq, indices)
     monkeypatch.setattr(DiagSeq, "values_at", spy)
     op = scale_shift(named_diagonal("one_plus_inv_n"), 1.1, 0.2)
-    assert spectral._positivity(op) == (True, "")
-    assert sum(read) == SAMPLE
-    # the pass that reads the sample refuses an entry off the real line; a generator's
-    # own error is not taken for one
+    # the decision reads the whole prefix once, in the tail summary m(T) reads too
+    assert spectral._positivity(op, 10_000) == (True, "")
+    assert sum(read) == 10_000
+    assert not minimum_modulus(op, prefix=10_000).attained
+    assert spectral._positivity(op, 10_000) == (True, "") and sum(read) == 10_000
+    # a shorter prefix still covers SAMPLE entries, in a summary of its own
+    read.clear()
+    assert spectral._positivity(op, 100) == (True, "") and sum(read) == SAMPLE
+    # the summary refuses an entry off the real line; a generator's own error is not
+    # taken for one
     probe = diagonal_seq(None, ConvergesTo(1.0),
                          vec_fn=lambda n: (1 + 1 / n + 0.5j * (n == 3000)).astype(complex))
-    assert spectral._positivity(DiagonalOp(probe)) == (False, "diagonal entries not real")
+    assert spectral._positivity(DiagonalOp(probe), 10_000) == (False, "diagonal entries not real")
     # entries off the real line are named before a declared point off it, which is named
     # when the entries are real
     rotated = scale_shift(named_diagonal("one_plus_inv_n"), 1j, 0.0)
-    assert spectral._positivity(rotated) == (False, "diagonal entries not real")
+    assert spectral._positivity(rotated, 10_000) == (False, "diagonal entries not real")
     misdeclared = DiagonalOp(DiagSeq(ConvergesTo(1j), gen=named_diagonal("inv_n").seq.gen))
-    assert spectral._positivity(misdeclared) == (False, "accumulation point 1j not real")
+    assert spectral._positivity(misdeclared, 10_000) == (False, "accumulation point 1j not real")
 
     def broken(n):
         if n.size:  # the form of a diagonal asks for no entry
             raise ValueError("generator failed")
         return n.astype(float)
     with pytest.raises(ValueError, match="generator failed"):
-        spectral._positivity(DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=broken)))
+        spectral._positivity(DiagonalOp(diagonal_seq(None, ConvergesTo(1.0), vec_fn=broken)),
+                             10_000)
 
 
 def test_spectrum_requires_self_adjointness():
