@@ -16,7 +16,8 @@ support of its rank-one terms (the coordinates they touch) direct sum a
 plain diagonal on the remaining coordinates; see :func:`block_tail`.  That
 split is what keeps norms, spectra and perturbation arithmetic exact
 downstream, at a cost set by the support, not by where it sits.  Each
-operator builds it once, as its cached read-only ``form``.  Only
+operator builds it once, as its cached read-only ``form``, and takes the
+SVD of its matrix or block at most once, as ``svd``.  Only
 :class:`BlockTail` knows how the two parts interleave.  No operation here
 factorizes to rebuild terms, so none can drop one: sums and products carry
 terms over one by one, and :func:`block_tail_op` makes one per column.
@@ -647,13 +648,31 @@ class OperatorRep:
         block.setflags(write=False)
         return BlockTail(support, block, diagonal)
 
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The full SVD (U, s, V*) of T's matrix, or of its ``form`` block on l2, taken once and
+        read-only: m(T), |T| and the polar parts all read it.  It holds 2 * 16 n^2 bytes for
+        an n x n matrix as long as the operator lives."""
+        factors = tuple(np.linalg.svd(self.form.block if self.is_l2 else _dense(self)))
+        for a in factors:
+            a.setflags(write=False)
+        return factors
+
+
+_ZERO = np.zeros((), dtype=complex)
+_ZERO.setflags(write=False)
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixOp(OperatorRep):
     array: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=complex)
+        # a broadcast of the shared read-only zero (``_zero_matrix``) is kept as it is;
+        # any other array is copied, so no caller can change T after construction
+        arr = self.array
+        if not (isinstance(arr, np.ndarray) and arr.base is _ZERO):
+            arr = np.array(arr, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("matrix must be 2-dimensional and nonempty")
         if not np.all(np.isfinite(arr)):
@@ -1001,6 +1020,8 @@ def scale_shift(op: OperatorRep, alpha, beta) -> OperatorRep:
     if isinstance(op, MatrixOp):
         if beta != 0 and op.rows != op.cols:
             raise ValueError("shift requires a square matrix")
+        if alpha == 0 and beta == 0:
+            return zero_like(op)
         arr = alpha * op.array
         if beta != 0:
             arr = arr + beta * np.eye(op.rows)
@@ -1030,7 +1051,12 @@ def zero_like(op: OperatorRep) -> OperatorRep:
     """The zero operator on the same ambient space."""
     if op.is_l2:
         return DiagonalOp(constant_seq(0.0))
-    return MatrixOp(np.zeros(getattr(op, "base", op).array.shape))
+    return _zero_matrix(*getattr(op, "base", op).array.shape)
+
+
+def _zero_matrix(rows: int, cols: int) -> MatrixOp:
+    """The rows x cols zero matrix, held in O(1) memory as a read-only broadcast zero."""
+    return MatrixOp(np.broadcast_to(_ZERO, (rows, cols)))
 
 
 def add_operators(a: OperatorRep, b: OperatorRep) -> OperatorRep:
@@ -1101,7 +1127,7 @@ def compose_operators(a: OperatorRep, b: OperatorRep, *, at_infinity=None) -> Op
         if cols != b.base.rows:
             raise ValueError("shape mismatch in composition")
         # a times a zero matrix has a's rows and b's columns
-        return SumOp(MatrixOp(np.zeros((rows, b.base.cols))), 0j, _map_terms(a, b.terms))
+        return SumOp(_zero_matrix(rows, b.base.cols), 0j, _map_terms(a, b.terms))
     da, db = _dense(a), _dense(b)
     if da.shape[1] != db.shape[0]:
         raise ValueError("shape mismatch in composition")
@@ -1167,7 +1193,8 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
 
     Matrices give their largest singular value and l2 operators their
     block's, both from ``_spectral_norm`` (relative error about
-    (m + c) n eps / 2 for an m x n array, m >= n).  The diagonal tail is
+    (m + c) n eps / 2 for an m x n array, m >= n).  A constant tail c
+    contributes |c| exactly, with no entry read; any other diagonal tail is
     bounded by prefix scan plus declared accumulation, with the residual
     uncertainty reported as ``tail_slack``.
     """
@@ -1177,19 +1204,14 @@ def operator_norm(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> NormBound
     tail = bt.tail.tail
     if tail_diverges(tail):
         raise UnboundedOperatorError("diagonal entries diverge; operator is unbounded")
-
-    def scan(stop: int, start: int = 1):
-        # a constant tail is read through one entry per range that has any
-        if bt.tail.const_value is None:
-            yield from (vals for _, vals in bt.tail_blocks(stop, start))
-        elif stop - start + 1 > sum(start <= i <= stop for i in bt.support):
-            yield bt.tail.values_at(np.array([start]))
+    if bt.tail.const_value is not None:  # infinitely many entries c off the support: exact
+        return NormBound(max(_spectral_norm(bt.block), abs(bt.tail.const_value)), 0.0)
 
     # the deviation is taken over the window past prefix / 2
     top, dev = 0.0, 0.0
-    for vals in scan(prefix // 2):
+    for _, vals in bt.tail_blocks(prefix // 2):
         top = np.maximum(top, np.max(np.abs(vals)))
-    for vals in scan(prefix, prefix // 2 + 1):
+    for _, vals in bt.tail_blocks(prefix, prefix // 2 + 1):
         top = np.maximum(top, np.max(np.abs(vals)))
         dev = np.maximum(dev, _euclid_window_dev(vals, tail))
     acc_sup = max((abs(p) for p in accumulation_points(tail)), default=0.0)

@@ -57,9 +57,9 @@ from .spectral import (
     NULL_TOL,
     AttainmentCertificate,
     minimum_modulus,
+    polar,
     _basis_index,
     _minimum_modulus,
-    _polar,
     _positivity,
     _require_positive,
 )
@@ -280,7 +280,7 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
     ok, _ = _positivity(op, prefix)
     if ok:
         return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
-    parts, base = _polar(op, prefix)
+    parts, base = polar(op), minimum_modulus(op, prefix=prefix)
     res = _positive_construction(parts.modulus, epsilon, base, prefix)
     if res.case is PerturbationCase.NULL_DIRECTION_EXISTS:
         return replace(res, perturbation=zero_like(op))  # nothing composed; keep the honest tag
@@ -301,7 +301,7 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    parts, base = _polar(op, prefix)
+    parts, base = polar(op), minimum_modulus(op, prefix=prefix)
     if base.value <= NULL_TOL:
         raise ValueError("bounded_below_perturbation requires m(T) > 0")
     res = _positive_construction(parts.modulus, epsilon, base, prefix)

@@ -68,6 +68,10 @@ _KIND_KEYS = {"perturb": ("target", "epsilon", "variant"),
               "spectrum": ("target",),
               "weyl": ("target", "terms")}
 _KINDS = tuple(_KIND_KEYS)
+_OPERATOR_KEYS = {"matrix": ("variant", "data"),
+                  "diagonal": ("variant", "generator", "tail"),
+                  "sum": ("variant", "base", "shift", "terms")}
+_TERM_KEYS = ("coeff", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,21 @@ def _known_keys(obj: dict, allowed: tuple[str, ...], ctx: str):
             raise ConfigError(f"{ctx}: unknown key {key!r}; nearest allowed key {nearest!r}")
 
 
+def _known_operator_keys(obj, ctx: str):
+    """``_known_keys`` over an operator document, a sum's base and each of its terms; any
+    other fault of the document is left to ``operator_from_json``."""
+    variant = obj.get("variant") if isinstance(obj, dict) else None
+    if not isinstance(variant, str) or variant not in _OPERATOR_KEYS:
+        return
+    _known_keys(obj, _OPERATOR_KEYS[variant], ctx)
+    if variant == "sum":
+        _known_operator_keys(obj.get("base"), f"{ctx}.base")
+        terms = obj.get("terms")
+        for j, term in enumerate(terms if isinstance(terms, list) else ()):
+            if isinstance(term, dict):
+                _known_keys(term, _TERM_KEYS, f"{ctx}.terms[{j}]")
+
+
 def _number(value, kind, what: str):
     """``kind(value)`` of a number; a string, a bool or a value that does not convert is a
     ConfigError."""
@@ -172,8 +191,9 @@ def load_config(doc: dict) -> ScenarioConfig:
     All structural problems (unknown keys and kinds, unresolvable operator
     names, bad generators, values that are not numbers or not in range)
     surface here as :class:`ConfigError`, before anything runs.  The keys
-    of the top level, of ``defaults`` and of each experiment kind are
-    closed sets; operator documents are read by :func:`operator_from_json`.
+    of the top level, of ``defaults``, of each experiment kind and of each
+    operator variant and rank-one term are closed sets; operator documents
+    are then read by :func:`operator_from_json`.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -183,6 +203,7 @@ def load_config(doc: dict) -> ScenarioConfig:
         raise ConfigError("'operators' must map names to operator documents")
     operators = {}
     for name, obj in raw_ops.items():
+        _known_operator_keys(obj, f"operators.{name}")
         try:
             operators[name] = operator_from_json(obj)
         except (ValueError, KeyError, TypeError) as exc:

@@ -180,19 +180,21 @@ def minimum_modulus(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> Attainm
 
 
 def _minimum_modulus(op: OperatorRep, prefix: int) -> tuple[AttainmentCertificate, float]:
-    """:func:`minimum_modulus` and the largest singular value of the SVD it
-    took, of T's matrix or of its block (0 with no block)."""
-    if not op.is_l2:
+    """:func:`minimum_modulus` and the largest singular value of ``op.svd``,
+    T's matrix's or its block's (0 with no block)."""
+    _, s, vh = op.svd
+    if not op.is_l2:  # a wide matrix has a kernel: fewer singular values than columns
         arr = _dense(op)
-        _, s, vh = np.linalg.svd(arr)
-        return _matrix_certificate(arr, s, vh), float(s[0])
+        value = float(s[-1]) if s.size == arr.shape[1] else 0.0
+        witness = Vec.from_dense(vh[-1].conj(), dim=arr.shape[1])
+        residual = abs(float(np.linalg.norm(arr @ vh[-1].conj())) - value)
+        cert = AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
+        return cert, float(s[0])
 
     bt = block_tail(op)
     summary = bt.summary(prefix)
     scan_min = summary.abs_min
     tail_inf = _tail_abs_inf(bt)
-
-    _, s, vh = np.linalg.svd(bt.block)
     block_min, top = (float(s[-1]), float(s[0])) if bt.k else (math.inf, 0.0)
     if min(block_min, scan_min) <= tail_inf:
         if bt.k and block_min <= scan_min:
@@ -205,14 +207,6 @@ def _minimum_modulus(op: OperatorRep, prefix: int) -> tuple[AttainmentCertificat
         residual = abs(applied.norm() / witness.norm() - value)
         return AttainmentCertificate(value, True, witness, _basis_index(witness), residual), top
     return AttainmentCertificate(tail_inf, False, None, None, None), top
-
-
-def _matrix_certificate(arr: np.ndarray, s: np.ndarray, vh: np.ndarray) -> AttainmentCertificate:
-    """m(A) of a matrix from the singular values ``s`` and full right factor ``vh`` of A."""
-    value = float(s[-1]) if s.size == arr.shape[1] else 0.0
-    witness = Vec.from_dense(vh[-1].conj(), dim=arr.shape[1])
-    residual = abs(float(np.linalg.norm(arr @ vh[-1].conj())) - value)
-    return AttainmentCertificate(value, True, witness, _basis_index(witness), residual)
 
 
 def _basis_index(v: Vec) -> int | None:
@@ -325,21 +319,16 @@ def square_root(op: OperatorRep, *, prefix: int = DEFAULT_PREFIX) -> OperatorRep
     return block_tail_op(BlockTail(bt.support, _sqrt_psd(bt.block), tail))
 
 
-def _modulus_from_svd(bt: BlockTail | None, s: np.ndarray, vh: np.ndarray) -> OperatorRep:
-    """|T| from the SVD of T's matrix (``bt`` None) or of its block."""
+def modulus(op: OperatorRep) -> OperatorRep:
+    """|T| = (T* T)^(1/2) from T's SVD; block and tail transform independently."""
+    _, s, vh = op.svd
     vh = vh[:s.size]  # a wide matrix has more right singular vectors than values
     root = (vh.conj().T * s) @ vh
-    if bt is None:
+    if not op.is_l2:
         return MatrixOp(root)
+    bt = block_tail(op)
     tail = map_seq(bt.tail, np.abs, at_infinity="diverges")
     return block_tail_op(BlockTail(bt.support, root, tail))
-
-
-def modulus(op: OperatorRep) -> OperatorRep:
-    """|T| = (T* T)^(1/2); block and tail transform independently."""
-    bt = block_tail(op) if op.is_l2 else None
-    _, s, vh = np.linalg.svd(_dense(op) if bt is None else bt.block)
-    return _modulus_from_svd(bt, s, vh)
 
 
 def _phase_seq(seq: DiagSeq) -> DiagSeq:
@@ -376,27 +365,15 @@ def _phase_vec(a: np.ndarray) -> np.ndarray:
 
 
 def polar(op: OperatorRep) -> PolarParts:
-    """Polar decomposition T = V |T| with V a partial isometry."""
-    return _polar(op, None)[0]
-
-
-def _polar(op: OperatorRep, prefix: int | None) -> tuple[PolarParts, AttainmentCertificate | None]:
-    """polar(T) and, given a prefix, m(|T|) = m(T); a matrix's is read off the SVD of T."""
-    bt = block_tail(op) if op.is_l2 else None
-    arr = _dense(op) if bt is None else bt.block
-    u, s, vh = np.linalg.svd(arr)
-    cut = max(1, *arr.shape) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
+    """Polar decomposition T = V |T| with V a partial isometry, both from T's SVD."""
+    u, s, vh = op.svd
+    cut = max(1, u.shape[0], vh.shape[1]) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
     r = int(np.sum(s > cut))
-    if bt is None:
-        isometry = MatrixOp(u[:, :r] @ vh[:r, :])
-    else:
-        isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
-    parts = PolarParts(isometry, _modulus_from_svd(bt, s, vh))
-    if prefix is None:
-        return parts, None
-    if bt is None:
-        return parts, _matrix_certificate(arr, s, vh)
-    return parts, minimum_modulus(op, prefix=prefix)
+    if not op.is_l2:
+        return PolarParts(MatrixOp(u[:, :r] @ vh[:r, :]), modulus(op))
+    bt = block_tail(op)
+    isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
+    return PolarParts(isometry, modulus(op))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Vectors, declared-tail sequences and the representable operator algebra."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from minatt.operators import (
     BlockTail,
     ConvergesTo,
     DeclaredAccumulation,
+    DiagSeq,
     DiagonalOp,
     FiniteRange,
     MatrixOp,
@@ -636,6 +638,35 @@ def test_zero_like_matches_shape():
     np.testing.assert_array_equal(zm.array, np.zeros((2, 3)))
 
 
+def test_matrix_zero_base_holds_no_n_squared_buffer():
+    # a matrix S is its zero base plus terms: the base is one read-only broadcast zero,
+    # built without an n x n buffer, and its JSON still lists n^2 zeros
+    n = 256
+    t = MatrixOp(np.random.default_rng(7).standard_normal((n, n)))
+    tracemalloc.start()
+    try:
+        zeros = [zero_like(t), scale_shift(zero_like(t), 0.0, 0.0)]
+        s = compose_operators(t, add_rank_one(zeros[1], RankOneTerm(0.5, Vec.basis(3, n),
+                                                                    Vec.basis(3, n))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n // 4  # an n x n complex zero takes 16 n^2 bytes
+    for z in zeros + [s.base]:
+        assert z.array.shape == (n, n) and z.array.strides == (0, 0)
+        assert not z.array.flags.writeable and not z.array.any()
+    assert operator_to_json(s)["base"]["data"] == [[0.0] * n] * n
+    # a caller's array is still copied, read-only or not
+    arr = np.zeros((2, 2), dtype=complex)
+    frozen = arr.copy()
+    frozen.setflags(write=False)
+    ops = [MatrixOp(arr), MatrixOp(frozen)]
+    arr[0, 0] = 1.0
+    frozen.setflags(write=True)
+    frozen[0, 0] = 1.0
+    assert all(op.array[0, 0] == 0 for op in ops)
+
+
 def test_add_operators_shared_generator():
     t = named_diagonal("inv_n")
     s = scale_shift(named_diagonal("inv_n"), 2.0, 0.1)
@@ -826,6 +857,21 @@ def test_norm_of_single_rank_one_is_its_coefficient():
     s = add_rank_one(zero_like(named_diagonal("inv_n")), term)
     nb = operator_norm(s)
     assert abs(nb.value - 0.1) <= 1e-15
+
+
+def test_norm_of_a_constant_tail_reads_no_entry(monkeypatch):
+    # infinitely many entries c lie off the support, so ||T|| = max(||block||, |c|) exactly
+    read = []
+    real = DiagSeq.values_at
+    monkeypatch.setattr(DiagSeq, "values_at", lambda seq, i: read.append(i) or real(seq, i))
+    shifted = add_rank_one(DiagonalOp(constant_seq(-0.3)),
+                           RankOneTerm(2.0, Vec.basis(3), Vec.basis(3)))
+    for op, value in ((DiagonalOp(constant_seq(-0.3)), 0.3), (shifted, 1.7),
+                      (scale_shift(shifted, -4.0, 0.0), 6.8)):
+        read.clear()
+        nb = operator_norm(op, prefix=2)
+        assert nb.value == pytest.approx(value, rel=1e-15) and nb.tail_slack == 0.0
+        assert all(set(i.tolist()) <= {3} for i in read)  # the block's diagonal only
 
 
 def test_norm_unbounded_rejected():

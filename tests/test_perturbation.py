@@ -12,6 +12,7 @@ import pytest
 from minatt import gap, perturbation, spectral
 from minatt.operators import (
     ConvergesTo,
+    DiagSeq,
     DiagonalOp,
     InconclusiveError,
     MatrixOp,
@@ -575,6 +576,51 @@ def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
     assert calls["svd"] <= 1 and calls["eigh"] == 0
     assert verify_perturbation(positive, res).passed
     assert calls["svd"] <= 2
+
+
+def test_matrix_operator_is_factored_once(monkeypatch):
+    # minimum_modulus, polar, modulus and the construction read T's one cached SVD;
+    # the verification factors T + S once; counted are svd calls on n x n operands
+    rng = np.random.default_rng(43)
+    n = 256
+    op = MatrixOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    operands = []
+    real_svd = np.linalg.svd
+
+    def svd_spy(arr, *args, **kwargs):
+        if np.shape(arr) == (n, n):
+            operands.append(np.array(arr))
+        return real_svd(arr, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd_spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
+    spectral.minimum_modulus(op)
+    spectral.polar(op)
+    spectral.modulus(op)
+    res = attainment_perturbation(op, 0.05)
+    assert len(operands) == 1 and np.array_equal(operands[0], op.array)
+    assert verify_perturbation(op, res).passed
+    assert len(operands) == 2
+    assert np.array_equal(operands[1], _dense(add_operators(op, res.perturbation)))
+    assert verify_perturbation(op, attainment_perturbation(op, 0.05)).passed
+    assert len(operands) == 3  # T + S is a new operator each time
+
+
+def test_verification_reads_no_entry_of_a_constant_s_tail(monkeypatch):
+    # ||S|| of S = c I + finite rank is max(||block||, |c|): S's constant diagonal is
+    # read only on the block, at the support of its terms
+    read = []
+    real = DiagSeq.values_at
+    monkeypatch.setattr(DiagSeq, "values_at",
+                        lambda seq, i: read.append((seq, i.tolist())) or real(seq, i))
+    for op, case in ((named_diagonal("one_plus_inv_n"), PerturbationCase.POSITIVE_BOUNDED_BELOW),
+                     (named_diagonal("inv_n"), PerturbationCase.VANISHING_INJECTIVE)):
+        res = attainment_perturbation(op, 0.1)
+        assert res.case is case
+        s = res.perturbation
+        support = {i for t in s.terms for v in (t.left, t.right) for i, _ in v.entries}
+        read.clear()
+        assert verify_perturbation(op, res).passed
+        assert all(set(i) <= support for seq, i in read if seq is s.base.seq)
 
 
 def test_verification_catches_doubled_coefficient():

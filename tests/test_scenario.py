@@ -223,6 +223,18 @@ _UNKNOWN_KEYS = [
     (lambda d: d["defaults"].update(tolerence=1e-3), "tolerence", "tolerance"),
     (lambda d: d["experiments"].append({"kind": "spectrum", "target": "drop",
                                         "epsilon": 0.5}), "epsilon", None),
+    # operator documents: "shfit" loaded a sum with shift 0, and "tial" kept the
+    # registry's tail declaration
+    (lambda d: d["operators"].update(shifted={"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "shfit": 0.5}), "shfit", "shift"),
+    (lambda d: d["operators"].update(declared={"variant": "diagonal", "generator": "inv_n",
+                                               "tial": {"kind": "converges_to", "limit": 0.0}}),
+     "tial", "tail"),
+    (lambda d: d["operators"].update(based={"variant": "sum", "base": {
+        "variant": "matrix", "data": [[1.0]], "dtaa": [[2.0]]}}), "dtaa", "data"),
+    (lambda d: d["operators"].update(termed={"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "terms": [
+        {"coef": 0.5, "left": {"basis": 1}, "right": {"basis": 1}}]}), "coef", "coeff"),
 ]
 
 
@@ -251,6 +263,11 @@ def test_every_allowed_key_loads():
         {"kind": "spectrum", "name": "sp", "target": "drop"},
         {"kind": "weyl", "name": "w", "target": "drop", "terms": [{"coeff": -0.5, "index": 5}]},
     ]
+    doc["operators"]["full"] = {
+        "variant": "sum", "shift": 0.5,
+        "base": {"variant": "diagonal", "generator": "inv_n",
+                 "tail": {"kind": "converges_to", "limit": 0.0}},
+        "terms": [{"coeff": -0.5, "left": {"basis": 2}, "right": {"entries": [[2, 1.0]]}}]}
     assert len(load_config(doc).experiments) == 5
     load_config(json.loads((Path(__file__).resolve().parents[1] / "demos" / "scenario.json")
                            .read_text(encoding="utf-8")))

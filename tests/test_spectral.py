@@ -252,12 +252,63 @@ def test_polar_reads_m_of_modulus_off_the_operator():
     matrix = MatrixOp(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))
     indices = []
     for op in (l2, matrix):
-        _, base = spectral._polar(op, 1000)
+        base = minimum_modulus(op, prefix=1000)
         expect = minimum_modulus(modulus(op), prefix=1000)
         assert abs(base.value - expect.value) <= 1e-12 * max(1.0, expect.value)
         assert base.attained and base.witness_index == expect.witness_index
         indices.append(base.witness_index)
     assert indices == [1, None]
+
+
+def test_svd_factors_are_read_only():
+    ops = (MatrixOp(np.random.default_rng(3).standard_normal((3, 2))),
+           add_rank_one(named_diagonal("inv_n"), RankOneTerm(0.5, Vec.basis(2), Vec.basis(4))))
+    for op in ops:
+        assert op.svd is op.svd
+        for factor in op.svd:
+            with pytest.raises(ValueError, match="read-only"):
+                factor[...] = 0
+
+
+def _bits(x):
+    """A result as exact bytes and round-trip reprs, so equal means bit for bit."""
+    if isinstance(x, spectral.AttainmentCertificate):
+        return repr(x)
+    if isinstance(x, spectral.PolarParts):
+        return _bits(x.isometry), _bits(x.modulus)
+    if isinstance(x, MatrixOp):
+        return x.array.shape, x.array.tobytes()
+    bt = block_tail(x)
+    return bt.support, bt.block.tobytes(), bt.tail.values_at(np.arange(1, 40)).tobytes()
+
+
+_CACHED_READERS = {"minimum_modulus": lambda op: minimum_modulus(op, prefix=200),
+                   "polar": polar, "modulus": modulus}
+
+
+@st.composite
+def _operands(draw):
+    """A builder of one operator: a square, tall or wide matrix, or an l2 diagonal with up
+    to four rank-one terms, so a block of k <= 8 (k = 0 without terms)."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return lambda: MatrixOp(data)
+    name = draw(st.sampled_from(("one_plus_inv_n", "inv_n", "alternating01")))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=4))
+    coeffs = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+    terms = tuple(RankOneTerm(c, Vec.basis(i), Vec.basis(j)) for c, (i, j) in zip(coeffs, pairs))
+    return lambda: SumOp(named_diagonal(name), 0.0, terms)
+
+
+@given(_operands(), st.permutations(sorted(_CACHED_READERS)))
+def test_cached_svd_gives_a_fresh_operators_results(build, order):
+    # every reader of op.svd, in any order and asked twice, answers as on an operator
+    # that has never been factored
+    op = build()
+    for name in order + order:
+        assert _bits(_CACHED_READERS[name](op)) == _bits(_CACHED_READERS[name](build()))
 
 
 def test_rebuilding_blocks_takes_no_svd(monkeypatch):
