@@ -92,6 +92,7 @@ def env() -> dict:
     import numpy as np
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
     except TypeError:  # numpy < 1.25 has no mode argument
         blas = None
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
