@@ -25,6 +25,7 @@ terms over one by one, and :func:`block_tail_op` makes one per column.
 
 from __future__ import annotations
 
+import difflib
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -1249,6 +1250,29 @@ def _adjoint_range(s: OperatorRep) -> tuple[NormBound, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# the keys each document may hold: a misspelt key is refused, since it would otherwise
+# leave its default in force without a word
+_OPERATOR_KEYS = {"matrix": ("variant", "data"),
+                  "diagonal": ("variant", "generator", "tail"),
+                  "sum": ("variant", "base", "shift", "terms")}
+_TERM_KEYS = ("coeff", "left", "right")
+_VEC_KEYS = ("basis", "entries", "dim")
+_TAIL_KEYS = {"converges_to": ("kind", "limit"), "periodic": ("kind", "values"),
+              "finite_range": ("kind", "values"),
+              "declared": ("kind", "points", "diverges_to_infinity")}
+
+
+def _known_keys(obj, allowed: tuple[str, ...], what: str, error=ValueError):
+    """``error`` when ``obj`` is not a JSON object or holds a key outside ``allowed``, naming
+    the first such key and the allowed key nearest to it."""
+    if not isinstance(obj, dict):
+        raise error(f"{what}: expected a JSON object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            nearest = difflib.get_close_matches(str(key), allowed, n=1, cutoff=0.0)[0]
+            raise error(f"{what}: unknown key {key!r}; nearest allowed key {nearest!r}")
+
+
 def _format_scalar(z: complex) -> str:
     if z.imag == 0:
         return repr(z.real)
@@ -1284,7 +1308,9 @@ def _tail_to_json(tail: TailSpec) -> dict:
 
 
 def tail_from_json(obj: dict) -> TailSpec:
-    kind = obj.get("kind")
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if isinstance(kind, str) and kind in _TAIL_KEYS:
+        _known_keys(obj, _TAIL_KEYS[kind], f"{kind} tail")
     if kind == "converges_to":
         return ConvergesTo(scalar_from_json(obj["limit"]))
     if kind == "periodic":
@@ -1307,6 +1333,7 @@ def _vec_to_json(v: Vec) -> dict:
 
 
 def vec_from_json(obj: dict) -> Vec:
+    _known_keys(obj, _VEC_KEYS, "vector")
     if "basis" in obj:
         return Vec.basis(obj["basis"], obj.get("dim"))
     entries = tuple((i, scalar_from_json(z)) for i, z in obj["entries"])
@@ -1334,8 +1361,18 @@ def operator_to_json(op: OperatorRep) -> dict:
     raise TypeError(f"not an operator: {op!r}")
 
 
+def _term_from_json(obj: dict) -> RankOneTerm:
+    _known_keys(obj, _TERM_KEYS, "rank-one term")
+    return RankOneTerm(scalar_from_json(obj["coeff"]), vec_from_json(obj["left"]),
+                       vec_from_json(obj["right"]))
+
+
 def operator_from_json(obj: dict) -> OperatorRep:
-    variant = obj.get("variant")
+    """The operator of a JSON document.  Its keys, and those of a sum's base, terms and
+    vectors and of a diagonal's tail, are closed sets: an unknown one is a ValueError."""
+    variant = obj.get("variant") if isinstance(obj, dict) else None
+    if isinstance(variant, str) and variant in _OPERATOR_KEYS:
+        _known_keys(obj, _OPERATOR_KEYS[variant], f"{variant} operator")
     if variant == "matrix":
         rows = [[scalar_from_json(z) for z in row] for row in obj["data"]]
         return MatrixOp(np.asarray(rows, dtype=complex))
@@ -1349,9 +1386,6 @@ def operator_from_json(obj: dict) -> OperatorRep:
         return op
     if variant == "sum":
         base = operator_from_json(obj["base"])
-        terms = tuple(RankOneTerm(scalar_from_json(t["coeff"]),
-                                  vec_from_json(t["left"]),
-                                  vec_from_json(t["right"]))
-                      for t in obj.get("terms", []))
+        terms = tuple(_term_from_json(t) for t in obj.get("terms", []))
         return SumOp(base, scalar_from_json(obj.get("shift", 0)), terms)
     raise ValueError(f"unknown operator variant {variant!r}")

@@ -16,7 +16,6 @@ identical bytes apart from the ``timing`` section.
 from __future__ import annotations
 
 import csv
-import difflib
 import io
 import json
 import math
@@ -33,6 +32,7 @@ from .operators import (
     OperatorRep,
     RankOneTerm,
     Vec,
+    _known_keys,
     operator_from_json,
     scalar_from_json,
     vec_from_json,
@@ -68,10 +68,6 @@ _KIND_KEYS = {"perturb": ("target", "epsilon", "variant"),
               "spectrum": ("target",),
               "weyl": ("target", "terms")}
 _KINDS = tuple(_KIND_KEYS)
-_OPERATOR_KEYS = {"matrix": ("variant", "data"),
-                  "diagonal": ("variant", "generator", "tail"),
-                  "sum": ("variant", "base", "shift", "terms")}
-_TERM_KEYS = ("coeff", "left", "right")
 
 
 @dataclass(frozen=True)
@@ -135,30 +131,6 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
-def _known_keys(obj: dict, allowed: tuple[str, ...], ctx: str):
-    """ConfigError naming the first key of ``obj`` outside ``allowed`` and the allowed key
-    nearest to it."""
-    for key in obj:
-        if key not in allowed:
-            nearest = difflib.get_close_matches(str(key), allowed, n=1, cutoff=0.0)[0]
-            raise ConfigError(f"{ctx}: unknown key {key!r}; nearest allowed key {nearest!r}")
-
-
-def _known_operator_keys(obj, ctx: str):
-    """``_known_keys`` over an operator document, a sum's base and each of its terms; any
-    other fault of the document is left to ``operator_from_json``."""
-    variant = obj.get("variant") if isinstance(obj, dict) else None
-    if not isinstance(variant, str) or variant not in _OPERATOR_KEYS:
-        return
-    _known_keys(obj, _OPERATOR_KEYS[variant], ctx)
-    if variant == "sum":
-        _known_operator_keys(obj.get("base"), f"{ctx}.base")
-        terms = obj.get("terms")
-        for j, term in enumerate(terms if isinstance(terms, list) else ()):
-            if isinstance(term, dict):
-                _known_keys(term, _TERM_KEYS, f"{ctx}.terms[{j}]")
-
-
 def _number(value, kind, what: str):
     """``kind(value)`` of a number; a string, a bool or a value that does not convert is a
     ConfigError."""
@@ -191,19 +163,18 @@ def load_config(doc: dict) -> ScenarioConfig:
     All structural problems (unknown keys and kinds, unresolvable operator
     names, bad generators, values that are not numbers or not in range)
     surface here as :class:`ConfigError`, before anything runs.  The keys
-    of the top level, of ``defaults``, of each experiment kind and of each
-    operator variant and rank-one term are closed sets; operator documents
-    are then read by :func:`operator_from_json`.
+    of the top level, of ``defaults`` and of each experiment kind are
+    closed sets; operator documents are read by :func:`operator_from_json`,
+    which closes theirs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _known_keys(doc, _TOP_KEYS, "config")
+    _known_keys(doc, _TOP_KEYS, "config", ConfigError)
     raw_ops = doc.get("operators", {})
     if not isinstance(raw_ops, dict):
         raise ConfigError("'operators' must map names to operator documents")
     operators = {}
     for name, obj in raw_ops.items():
-        _known_operator_keys(obj, f"operators.{name}")
         try:
             operators[name] = operator_from_json(obj)
         except (ValueError, KeyError, TypeError) as exc:
@@ -214,7 +185,7 @@ def load_config(doc: dict) -> ScenarioConfig:
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
         raise ConfigError("'defaults' must be an object")
-    _known_keys(defaults, _DEFAULT_KEYS, "defaults")
+    _known_keys(defaults, _DEFAULT_KEYS, "defaults", ConfigError)
     truncation = _integer(defaults.get("truncationN", DEFAULT_PREFIX), "defaults.truncationN")
     tolerance = _positive(defaults.get("tolerance", DEFAULT_TOLERANCE), "defaults.tolerance")
     if truncation < 1:
@@ -228,7 +199,7 @@ def load_config(doc: dict) -> ScenarioConfig:
         kind = _require(exp, "kind", ctx)
         if kind not in _KINDS:
             raise ConfigError(f"{ctx}: unknown kind {kind!r}; expected one of {_KINDS}")
-        _known_keys(exp, _EXPERIMENT_KEYS + _KIND_KEYS[kind], ctx)
+        _known_keys(exp, _EXPERIMENT_KEYS + _KIND_KEYS[kind], ctx, ConfigError)
         name = exp.get("name", f"{kind}-{i}")
         if not isinstance(name, str) or name in seen:
             raise ConfigError(f"{ctx}: experiment name {name!r} is a duplicate or not a string")

@@ -43,6 +43,7 @@ from minatt.operators import (
     scalar_to_json,
     scale_shift,
     shared_root,
+    tail_from_json,
     tail_diverges,
     truncate,
     vec_from_json,
@@ -98,6 +99,21 @@ def test_vec_dim_must_be_an_integer(doc):
         vec_from_json(doc)
     dim = Vec.basis(2, dim=np.int64(3)).dim
     assert dim == 3 and type(dim) is int
+
+
+@pytest.mark.parametrize("read, doc, key", [
+    (vec_from_json, {"basis": 2, "dimm": 3}, "dim"),
+    (tail_from_json, {"kind": "periodic", "values": [1.0], "valeus": [2.0]}, "values"),
+    (tail_from_json, {"kind": "declared", "points": [], "diverges": True}, "diverges_to_infinity"),
+    (operator_from_json, {"variant": "matrix", "data": [[1.0]], "date": [[2.0]]}, "data"),
+    (operator_from_json, {"variant": "sum", "base": {"variant": "diagonal", "generator": "inv_n"},
+                          "terms": [{"coeff": 1.0, "left": {"basis": 1},
+                                     "right": {"entries": [[1, 1.0]], "basis": 1, "dims": 2}}]},
+     "dim"),
+])
+def test_documents_refuse_unknown_keys(read, doc, key):
+    with pytest.raises(ValueError, match=f"nearest allowed key {key!r}"):
+        read(doc)
 
 
 def test_vec_norm_and_inner():

@@ -543,66 +543,47 @@ def test_matrix_certificate_forms_no_whole_graph_basis(monkeypatch):
 
 
 def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
-    # polar's SVD of T already holds m(|T|) and its witness, and a positive
-    # T's witness is an eigenvector at its least eigenvalue; counted are svd
-    # calls on n x n operands, numpy.linalg.norm's own included, and all eigh
+    # T's one cached SVD holds m(|T|), its witness and the polar parts, so
+    # minimum_modulus, polar, modulus and the construction factor T once and the
+    # verification factors T + S once; a positive T's witness is an eigenvector at its
+    # least eigenvalue.  Counted are svd calls on n x n operands, numpy.linalg.norm's
+    # own included, and all eigh
     rng = np.random.default_rng(41)
-    n = 64
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    # (polar's in the construction, m(T + S)'s in the verification)
-    calls = {"svd": 0, "eigh": 0}
-    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
-
-    def svd_spy(arr, *args, **kwargs):
-        calls["svd"] += np.shape(arr) == (n, n)
-        return real_svd(arr, *args, **kwargs)
-
-    def eigh_spy(arr, *args, **kwargs):
-        calls["eigh"] += 1
-        return real_eigh(arr, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", svd_spy)
-    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
-    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
-    op = MatrixOp(a)
-    res = attainment_perturbation(op, 0.05)
-    assert res.case is PerturbationCase.POLAR_COMPOSED
-    assert calls["svd"] <= 1 and calls["eigh"] == 0
-    assert verify_perturbation(op, res).passed
-    assert calls["svd"] <= 2
-    positive = MatrixOp(a @ a.conj().T / n + 0.5 * np.eye(n))
-    calls["svd"] = 0
-    res = attainment_perturbation(positive, 0.05)
-    assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
-    assert calls["svd"] <= 1 and calls["eigh"] == 0
-    assert verify_perturbation(positive, res).passed
-    assert calls["svd"] <= 2
-
-
-def test_matrix_operator_is_factored_once(monkeypatch):
-    # minimum_modulus, polar, modulus and the construction read T's one cached SVD;
-    # the verification factors T + S once; counted are svd calls on n x n operands
-    rng = np.random.default_rng(43)
     n = 256
-    op = MatrixOp(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    operands = []
-    real_svd = np.linalg.svd
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    operands, eighs = [], []
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
 
     def svd_spy(arr, *args, **kwargs):
         if np.shape(arr) == (n, n):
             operands.append(np.array(arr))
         return real_svd(arr, *args, **kwargs)
+
+    def eigh_spy(arr, *args, **kwargs):
+        eighs.append(np.shape(arr))
+        return real_eigh(arr, *args, **kwargs)
     monkeypatch.setattr(np.linalg, "svd", svd_spy)
     monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", svd_spy)
+    monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+    op = MatrixOp(a)
     spectral.minimum_modulus(op)
     spectral.polar(op)
     spectral.modulus(op)
     res = attainment_perturbation(op, 0.05)
-    assert len(operands) == 1 and np.array_equal(operands[0], op.array)
+    assert res.case is PerturbationCase.POLAR_COMPOSED
+    assert len(operands) == 1 and np.array_equal(operands[0], a) and eighs == []
     assert verify_perturbation(op, res).passed
     assert len(operands) == 2
     assert np.array_equal(operands[1], _dense(add_operators(op, res.perturbation)))
     assert verify_perturbation(op, attainment_perturbation(op, 0.05)).passed
     assert len(operands) == 3  # T + S is a new operator each time
+    positive = MatrixOp(a @ a.conj().T / n + 0.5 * np.eye(n))
+    operands.clear()
+    res = attainment_perturbation(positive, 0.05)
+    assert res.case is PerturbationCase.POSITIVE_BOUNDED_BELOW
+    assert len(operands) == 1 and eighs == []
+    assert verify_perturbation(positive, res).passed
+    assert len(operands) == 2
 
 
 def test_verification_reads_no_entry_of_a_constant_s_tail(monkeypatch):

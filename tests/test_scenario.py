@@ -203,6 +203,9 @@ def test_valid_config_loads():
                                                  "tail": {"kind": "declared", "points": [],
                                                           "diverges_to_infinity": "false"}}),
     *_OUT_OF_RANGE,
+    lambda d: d["operators"].update(listed=[1.0]),
+    lambda d: d["operators"].update(listed={"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "terms": [[0.5, 1, 1]]}),
 ])
 def test_structural_problems_raise_config_error(mutate):
     doc = _config_doc()
@@ -235,6 +238,13 @@ _UNKNOWN_KEYS = [
     (lambda d: d["operators"].update(termed={"variant": "sum", "base": {
         "variant": "diagonal", "generator": "inv_n"}, "terms": [
         {"coef": 0.5, "left": {"basis": 1}, "right": {"basis": 1}}]}), "coef", "coeff"),
+    (lambda d: d["operators"].update(vectored={"variant": "sum", "base": {
+        "variant": "diagonal", "generator": "inv_n"}, "terms": [
+        {"coeff": 0.5, "left": {"bassis": 1}, "right": {"basis": 1}}]}), "bassis", "basis"),
+    (lambda d: d["operators"].update(tailed={"variant": "diagonal", "generator": "inv_n", "tail": {
+        "kind": "converges_to", "limit": 0.0, "limt": 1.0}}), "limt", "limit"),
+    (lambda d: d["experiments"].append({"kind": "weyl", "target": "drop", "terms": [
+        {"coeff": 0.5, "left": {"basis": 1, "dimm": 3}, "right": {"basis": 1}}]}), "dimm", "dim"),
 ]
 
 

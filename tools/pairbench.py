@@ -1,21 +1,25 @@
 """Paired benchmark runs of two checkouts, summarised into one BENCH_<n>.json.
 
     python3 tools/pairbench.py --base ../parent --change . --workload dense-gap \
-        --pairs 10 --seconds 25 --out BENCH_27.json
+        --out BENCH_27.json
 
-Pair i (1-based) runs `perfbench/run.py --workload W --seed i --seconds S`
-once in each checkout, with that checkout's own harness and source.  The
-base runs first in odd pairs and the change first in even ones, so a slow
-phase of the host falls on both sides alike.  Each workload named by
---workload (repeatable) gets its own pairs.
+Pair i (1-based) runs BENCHMARK.json's command with `--workload W --seed i
+--seconds <run_seconds>` once in each checkout, with that checkout's own
+harness and source; the two checkouts' BENCHMARK.json must agree on command
+and run length.  The base runs first in odd pairs and the change first in
+even ones, so a slow phase of the host falls on both sides alike.  Each
+workload named by --workload (repeatable) gets its own pairs, at least ten.
 
 For every end-to-end metric of BENCHMARK.json the summary gives each side's
-median and quartiles, the change's median gain over the base, the base's
-interquartile range, and the pairs the change won (ties count for neither
-side).  A gain is claimable when the change won at least nine tenths of the
-pairs and the medians differ by more than the base's interquartile range.
-`env` records the interpreter, numpy and its BLAS, the CPUs this process may
-run on and PYTHONDONTWRITEBYTECODE, which all move the times.
+median and quartiles (statistics.quantiles' default method, as
+perfbench/steady.py takes them), the change's median gain over the base, the
+base's interquartile range, and the pairs the change won (ties count for
+neither side).  A gain is claimable when there are at least ten pairs, every
+run of both sides was correct, the change failed no larger share of its
+operations than the base, the change won at least nine tenths of the pairs,
+and the medians differ by more than the base's interquartile range.  `env`
+records the interpreter, numpy and its BLAS, the CPUs this process may run
+on and PYTHONDONTWRITEBYTECODE, which all move the times.
 """
 
 from __future__ import annotations
@@ -40,11 +44,14 @@ def parse_run(stdout: str) -> dict:
             "metrics": {name: m["value"] for name, m in record["metrics"].items()}}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """One perfbench run in ``tree``; a run that fails is an error, not a sample."""
+MIN_PAIRS = 10
+
+
+def run_once(tree: str, bench: dict, workload: str, seed: int) -> dict:
+    """One benchmark run in ``tree``; a run that fails is an error, not a sample."""
     proc = subprocess.run(
-        [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        bench["command"] + ["--workload", workload, "--seed", str(seed),
+                            "--seconds", str(bench["run_seconds"]), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise RuntimeError(f"{tree}: perfbench exited {proc.returncode}: {proc.stderr[-500:]}")
@@ -52,16 +59,22 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _spread(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: both sides' spread, the median gain, the base's IQR and the wins.
+    """Per metric: both sides' spread, the median gain, the base's IQR, the wins and
+    whether the gain is claimable; and each side's share of failed operations.
 
     ``pairs`` hold a ``base`` and a ``change`` run as :func:`parse_run` returns
     them; ``better`` maps each metric to "higher" or "lower".
     """
+    failed = {side: sum(p[side]["failed"] for p in pairs)
+              / max(1, sum(p[side]["attempted"] for p in pairs))
+              for side in ("base", "change")}
+    sound = (len(pairs) >= MIN_PAIRS and failed["change"] <= failed["base"]
+             and all(p[side]["correct"] for p in pairs for side in ("base", "change")))
     out = {}
     for name, direction in better.items():
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -74,11 +87,10 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             "better": direction, "base": b, "change": c,
             "gain": c["median"] / b["median"] - 1.0 if b["median"] else None,
             "base_iqr": iqr, "change_wins": wins, "pairs": len(pairs),
-            "claimable": wins >= 0.9 * len(pairs) and sign * (c["median"] - b["median"]) > iqr,
+            "claimable": (sound and wins >= 0.9 * len(pairs)
+                          and sign * (c["median"] - b["median"]) > iqr),
         }
-    out["failed_share"] = {side: sum(p[side]["failed"] for p in pairs)
-                           / max(1, sum(p[side]["attempted"] for p in pairs))
-                           for side in ("base", "change")}
+    out["failed_share"] = failed
     return out
 
 
@@ -100,21 +112,28 @@ def env() -> dict:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
+def _benchmark(tree: str) -> dict:
+    with open(os.path.join(tree, "BENCHMARK.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, for quartiles")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
+    bench, base_bench = _benchmark(args.change), _benchmark(args.base)
+    for key in ("command", "run_seconds"):
+        if bench[key] != base_bench[key]:
+            parser.error(f"the checkouts' BENCHMARK.json differ in {key!r}")
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    report = {"env": env(), "seconds": args.seconds,
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    report = {"env": env(), "command": bench["command"], "run_seconds": bench["run_seconds"],
               "base": {"commit": _commit(args.base)}, "change": {"commit": _commit(args.change)},
               "workloads": {}}
     for workload in args.workload:
@@ -123,7 +142,7 @@ def main(argv=None) -> int:
             order = ("base", "change") if seed % 2 else ("change", "base")
             pair = {"seed": seed, "first": order[0]}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                pair[side] = run_once(getattr(args, side), bench, workload, seed)
             pairs.append(pair)
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{side} {pair[side]['metrics'].get('questions_per_s', float('nan')):.4g}"
