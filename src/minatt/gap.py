@@ -11,8 +11,8 @@ differ only in their dense kernel:
   max( ||hat(T)^(1/2) (T - S) check(S)^(1/2)||,
        ||hat(S)^(1/2) (S - T) check(T)^(1/2)|| )
   with check(T) = (I + T*T)^(-1) and hat(T) = (I + TT*)^(-1), evaluated
-  from one SVD of each matrix: with T = U diag(s) V* and r = 1/hypot(1, s),
-  check(T)^(1/2) = V diag(r) V* and hat(T)^(1/2) = U diag(r) U*.
+  from each matrix operand's own SVD (``op.svd``): with T = U diag(s) V* and
+  r = 1/hypot(1, s), check(T)^(1/2) = V diag(r) V* and hat(T)^(1/2) = U diag(r) U*.
 * diagonal: the supremum of |t_n - s_n| / sqrt(1+|t_n|^2) / sqrt(1+|s_n|^2),
   the chordal distance of paired diagonal entries on the Riemann sphere.
 
@@ -128,36 +128,31 @@ def _defect_map(a: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.abs(a) ** 2)
 
 
-def _defect_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """U, r_U, V*, r_V from A = U diag(s) V* and r = 1/hypot(1, s) padded with 1,
-    so hat(A)^(1/2) = U diag(r_U) U* and check(A)^(1/2) = V diag(r_V) V*."""
-    u, s, vh = np.linalg.svd(a)
-    r_u, r_v = np.ones(a.shape[0]), np.ones(a.shape[1])
+def _defect_factors(u: np.ndarray, s: np.ndarray, vh: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """U, r_U, V*, r_V from the full SVD A = U diag(s) V* and r = 1/hypot(1, s) padded
+    with 1, so hat(A)^(1/2) = U diag(r_U) U* and check(A)^(1/2) = V diag(r_V) V*."""
+    r_u, r_v = np.ones(u.shape[0]), np.ones(vh.shape[1])
     r_u[:s.size] = r_v[:s.size] = 1.0 / np.hypot(1.0, s)
     return u, r_u, vh, r_v
 
 
-def _defect_dense(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """check = (I + A*A)^(-1) and hat = (I + AA*)^(-1) of a dense matrix, from one SVD."""
-    u, r_u, vh, r_v = _defect_factors(a)
-    return (vh.conj().T * r_v ** 2) @ vh, (u * r_u ** 2) @ u.conj().T
-
-
 def defect_resolvent(op: OperatorRep) -> DefectPair:
-    """Both defect resolvents of T, exact within the representable class.
+    """Both defect resolvents of T, exact within the representable class, from ``op.svd``
+    (its matrix's, or its block's on l2).
 
     They satisfy 0 <= check(T) <= I and ||T check(T)|| <= 1/2 regardless of
     how large T is, which is what makes the closed-form gap usable for
     unbounded operators.
     """
+    u, r_u, vh, r_v = _defect_factors(*op.svd)
+    check, hat = (vh.conj().T * r_v ** 2) @ vh, (u * r_u ** 2) @ u.conj().T
     if not op.is_l2:
-        check, hat = _defect_dense(_dense(op))
         return DefectPair(MatrixOp(check), MatrixOp(hat))
     bt = block_tail(op)
     tail = map_seq(bt.tail, _defect_map, at_infinity=0.0)
-    check_block, hat_block = _defect_dense(bt.block)
-    return DefectPair(block_tail_op(BlockTail(bt.support, check_block, tail)),
-                      block_tail_op(BlockTail(bt.support, hat_block, tail)))
+    return DefectPair(block_tail_op(BlockTail(bt.support, check, tail)),
+                      block_tail_op(BlockTail(bt.support, hat, tail)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,23 +230,29 @@ def operator_gap_graph(a: OperatorRep, b: OperatorRep, *,
 # ---------------------------------------------------------------------------
 
 
-def _closed_form_dense(s: np.ndarray, t: np.ndarray) -> float:
-    """By unitary invariance ||hat(T)^(1/2) (T - S) check(S)^(1/2)|| is ||diag(r_T) U_T*
-    (T - S) V_S diag(r_S)||, and I + T*T, which squares T's condition, is never formed."""
-    u_t, hat_t, vh_t, check_t = _defect_factors(t)
-    u_s, hat_s, vh_s, check_s = _defect_factors(s)
+def _closed_form(s: np.ndarray, t: np.ndarray, svd_s: tuple, svd_t: tuple) -> float:
+    """The closed form of matrices s and t from their full SVDs.  By unitary invariance
+    ||hat(T)^(1/2) (T - S) check(S)^(1/2)|| is ||diag(r_T) U_T* (T - S) V_S diag(r_S)||,
+    and I + T*T, which squares T's condition, is never formed."""
+    u_t, hat_t, vh_t, check_t = _defect_factors(*svd_t)
+    u_s, hat_s, vh_s, check_s = _defect_factors(*svd_s)
     d = t - s
     one = hat_t[:, None] * (u_t.conj().T @ d @ vh_s.conj().T) * check_s
     two = hat_s[:, None] * (u_s.conj().T @ d @ vh_t.conj().T) * check_t
     return max(_spectral_norm(one), _spectral_norm(two))
 
 
+def _closed_form_dense(s: np.ndarray, t: np.ndarray) -> float:
+    """The closed form of two blocks, from a fresh SVD of each."""
+    return _closed_form(s, t, np.linalg.svd(s), np.linalg.svd(t))
+
+
 def operator_gap_closed_form(s: OperatorRep, t: OperatorRep, *,
                              prefix: int = DEFAULT_PREFIX) -> GapResult:
     """Gap from the defect-resolvent formula, no graph bases involved.
 
-    Matrices of a common shape are evaluated densely; l2 pairs take this
-    formula on their blocks (see ``_gap``).
+    Matrices of a common shape are evaluated densely from each operand's
+    ``op.svd``; l2 pairs take this formula on their blocks (see ``_gap``).
     """
     return _gap(s, t, "closed_form", prefix)
 
@@ -386,7 +387,9 @@ def _gap(s: OperatorRep, t: OperatorRep, route: str, prefix: int) -> GapResult:
         ds, dt = _dense(s), _dense(t)
         if ds.shape != dt.shape:
             raise ValueError(f"{route} route needs matrices of identical shape")
-        return GapResult(_KERNELS[route](ds, dt), route, None, 0.0)
+        value = (_closed_form(ds, dt, s.svd, t.svd) if route == "closed_form"
+                 else _KERNELS[route](ds, dt))
+        return GapResult(value, route, None, 0.0)
     bs, bt = _common_support(s, t)
     if route in ("auto", "diagonal"):
         aligned = _is_diagonal(bs.block) and _is_diagonal(bt.block)

@@ -52,6 +52,7 @@ from .operators import (
     operator_to_json,
     scale_shift,
     zero_like,
+    _zero_matrix,
 )
 from .spectral import (
     NULL_TOL,
@@ -59,6 +60,7 @@ from .spectral import (
     minimum_modulus,
     polar,
     _basis_index,
+    _isometry,
     _minimum_modulus,
     _positivity,
     _require_positive,
@@ -266,6 +268,17 @@ def attainment_perturbation_positive(op: OperatorRep, epsilon: float, *,
 # ---------------------------------------------------------------------------
 
 
+def _polar_parts(op: OperatorRep) -> tuple[OperatorRep, OperatorRep]:
+    """T's isometry V and the operator the positive construction caps: |T| on l2.  On a
+    matrix that construction reads |T| only for its n x n shape, since m(|T|) and its
+    witness are m(T)'s, so the n x n zero stands in and no |T| is formed."""
+    if op.is_l2:
+        parts = polar(op)
+        return parts.isometry, parts.modulus
+    isometry = _isometry(op)
+    return isometry, _zero_matrix(isometry.cols, isometry.cols)
+
+
 def attainment_perturbation(op: OperatorRep, epsilon: float, *,
                             prefix: int = DEFAULT_PREFIX) -> PerturbationResult:
     """Minimum-attaining perturbation of a general representable operator.
@@ -280,13 +293,13 @@ def attainment_perturbation(op: OperatorRep, epsilon: float, *,
     ok, _ = _positivity(op, prefix)
     if ok:
         return _positive_construction(op, epsilon, minimum_modulus(op, prefix=prefix), prefix)
-    parts, base = polar(op), minimum_modulus(op, prefix=prefix)
-    res = _positive_construction(parts.modulus, epsilon, base, prefix)
+    isometry, positive = _polar_parts(op)
+    res = _positive_construction(positive, epsilon, minimum_modulus(op, prefix=prefix), prefix)
     if res.case is PerturbationCase.NULL_DIRECTION_EXISTS:
         return replace(res, perturbation=zero_like(op))  # nothing composed; keep the honest tag
     # A has a constant tail (0 or eps/2), so the entrywise product with the
     # bounded phase tail of V needs no behaviour at infinity
-    return replace(res, perturbation=compose_operators(parts.isometry, res.perturbation),
+    return replace(res, perturbation=compose_operators(isometry, res.perturbation),
                    case=PerturbationCase.POLAR_COMPOSED)
 
 
@@ -301,11 +314,11 @@ def bounded_below_perturbation(op: OperatorRep, epsilon: float, *,
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    parts, base = polar(op), minimum_modulus(op, prefix=prefix)
+    (isometry, positive), base = _polar_parts(op), minimum_modulus(op, prefix=prefix)
     if base.value <= NULL_TOL:
         raise ValueError("bounded_below_perturbation requires m(T) > 0")
-    res = _positive_construction(parts.modulus, epsilon, base, prefix)
-    s = compose_operators(parts.isometry, res.perturbation)  # maps A's one term to one term
+    res = _positive_construction(positive, epsilon, base, prefix)
+    s = compose_operators(isometry, res.perturbation)  # maps A's one term to one term
     if len(getattr(s, "terms", ())) != 1:
         raise ArithmeticError("composed perturbation is not rank one")
     return replace(res, perturbation=s, case=PerturbationCase.BOUNDED_BELOW_RANK_ONE)

@@ -366,14 +366,18 @@ def _phase_vec(a: np.ndarray) -> np.ndarray:
 
 def polar(op: OperatorRep) -> PolarParts:
     """Polar decomposition T = V |T| with V a partial isometry, both from T's SVD."""
+    return PolarParts(_isometry(op), modulus(op))
+
+
+def _isometry(op: OperatorRep) -> OperatorRep:
+    """The partial isometry V of T = V |T|: U_r V_r* from T's SVD, times the tail's phase."""
     u, s, vh = op.svd
     cut = max(1, u.shape[0], vh.shape[1]) * np.finfo(float).eps * (float(s[0]) if s.size else 0.0)
     r = int(np.sum(s > cut))
     if not op.is_l2:
-        return PolarParts(MatrixOp(u[:, :r] @ vh[:r, :]), modulus(op))
+        return MatrixOp(u[:, :r] @ vh[:r, :])
     bt = block_tail(op)
-    isometry = block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
-    return PolarParts(isometry, modulus(op))
+    return block_tail_op(BlockTail(bt.support, u[:, :r] @ vh[:r, :], _phase_seq(bt.tail)))
 
 
 # ---------------------------------------------------------------------------

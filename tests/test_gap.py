@@ -28,8 +28,10 @@ from minatt.operators import (
     scale_shift,
     truncate,
 )
-from minatt.operators import _MAP_BLOCK, _adjoint_range, _common_support
+from minatt.operators import _MAP_BLOCK, _adjoint_range, _common_support, _dense, block_tail, block_tail_op
 from minatt import gap, operators
+from minatt.perturbation import attainment_perturbation, verify_perturbation
+from minatt.spectral import minimum_modulus, polar
 from minatt.gap import (
     _KERNELS,
     ROUTE_AGREE_TOL,
@@ -224,6 +226,75 @@ def test_closed_form_kernel_matches_graph_kernel(rows, cols, seed):
     rng = np.random.default_rng(seed)
     a, b = _rand(rng, rows, cols), _rand(rng, rows, cols)
     assert abs(_closed_form_dense(a, b) - _graph_gap(a, b)) <= 1e-12
+
+
+def _svd_spy(monkeypatch, shape):
+    # the operands of every svd of ``shape``, numpy.linalg.norm's own included
+    operands, real = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            operands.append(np.array(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.norm).__globals__, "svd", spy)
+    return operands
+
+
+def test_a_dense_gap_round_factors_each_operator_once(monkeypatch):
+    # one round of the dense-gap questions at n = 256: the closed form reads ta's and tb's
+    # cached SVDs, so only T + S, new in each round's verification, is factored again
+    rng = np.random.default_rng(5)
+    n = 256
+    a = _rand(rng, n) / math.sqrt(2)
+    ta, tb = MatrixOp(a), MatrixOp(a + 0.3 * _rand(rng, n) / math.sqrt(2))
+    q1 = np.linalg.qr(_rand(rng, n, n // 4))[0]
+    q2 = np.linalg.qr(q1 + 0.5 * _rand(rng, n, n // 4) / math.sqrt(n))[0]
+    operands = _svd_spy(monkeypatch, (n, n))
+    counts = []
+    for _ in range(3):
+        start = len(operands)
+        graph = operator_gap_graph(ta, tb).value
+        assert abs(operator_gap_closed_form(ta, tb).value - graph) <= ROUTE_AGREE_TOL
+        subspace_gap(q1, q2)
+        minimum_modulus(ta)
+        polar(ta)
+        res = attainment_perturbation(ta, 0.05)
+        assert verify_perturbation(ta, res).passed
+        counts.append(len(operands) - start)
+        assert np.array_equal(operands[-1], _dense(add_operators(ta, res.perturbation)))
+    assert counts == [3, 1, 1]
+    assert [np.array_equal(x, y) for x, y in zip(operands[:2], (ta.array, tb.array))] == [1, 1]
+    operands.clear()
+    operator_gap_closed_form(ta, tb)
+    assert operands == []
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two square, tall or wide complex matrices of one shape, or one matrix twice."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    a = _rand(rng, rows, cols)
+    b = a if draw(st.booleans()) else a + draw(st.sampled_from((1e-6, 0.3, 3.0))) * _rand(rng, rows, cols)
+    return a, b
+
+
+_CACHE_FILLERS = {"minimum_modulus": minimum_modulus, "polar": polar,
+                  "gap": lambda op: operator_gap_closed_form(op, op), "none": lambda op: None}
+
+
+@given(_matrix_pairs(), st.sampled_from(sorted(_CACHE_FILLERS)), st.booleans())
+def test_closed_form_from_the_cached_svd_is_the_dense_kernel(pair, filler, same):
+    # op.svd is the SVD the dense kernel takes, so the closed form keeps its bits whichever
+    # reader filled the cache first, also with one operator on both sides
+    s = MatrixOp(pair[0])
+    t = s if same else MatrixOp(pair[1])
+    for op in (s, t):
+        _CACHE_FILLERS[filler](op)
+    expect = _closed_form_dense(_dense(s), _dense(t))
+    assert operator_gap_closed_form(s, t).value == expect
+    assert operator_gap_closed_form(s, t).value == expect
 
 
 @pytest.mark.parametrize("top", [1e2, 1e4, 1e6, 1e8])
@@ -593,6 +664,34 @@ def test_defect_resolvents_match_inverses(rows, cols, seed):
         expect = np.linalg.inv(np.eye(gram.shape[0]) + gram)
         assert np.max(np.abs(got - expect)) <= 1e-12
         assert np.max(np.abs(got - got.conj().T)) <= 1e-14
+
+
+def test_defect_resolvents_read_the_cached_svd(monkeypatch):
+    # on both spaces the resolvents come from op.svd, T's matrix's or its form block's, with
+    # the bits of a fresh SVD of the same array
+    rng = np.random.default_rng(43)
+    x = Vec(((2, INV_SQRT2), (5, INV_SQRT2)), None)
+    ops = (MatrixOp(_rand(rng, 5, 3)),
+           add_rank_one(scale_shift(named_diagonal("one_plus_inv_n"), -1.0, 0.5),
+                        RankOneTerm(0.3 - 0.2j, x, Vec.basis(4))))
+    for op in ops:
+        arr = block_tail(op).block if op.is_l2 else _dense(op)
+        u, sv, vh = np.linalg.svd(arr)
+        r_u, r_v = np.ones(arr.shape[0]), np.ones(arr.shape[1])
+        r_u[:sv.size] = r_v[:sv.size] = 1.0 / np.hypot(1.0, sv)
+        minimum_modulus(op)
+        seen = _svd_spy(monkeypatch, arr.shape)
+        d = defect_resolvent(op)
+        assert seen == []
+        for got, expect in ((d.check, (vh.conj().T * r_v ** 2) @ vh),
+                            (d.hat, (u * r_u ** 2) @ u.conj().T)):
+            if op.is_l2:  # the l2 resolvent is block_tail_op of that block, with its own tail
+                bt = block_tail(got)
+                got, expect = bt.block, block_tail(block_tail_op(replace(bt, block=expect))).block
+            else:
+                got = got.array
+            assert got.tobytes() == expect.tobytes()
+        monkeypatch.undo()
 
 
 def test_defect_product_norm_is_at_most_half():

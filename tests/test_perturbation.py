@@ -23,6 +23,7 @@ from minatt.operators import (
     Vec,
     add_operators,
     add_rank_one,
+    compose_operators,
     constant_seq,
     diagonal_seq,
     named_diagonal,
@@ -584,6 +585,27 @@ def test_matrix_construction_reads_m_of_modulus_off_the_polar_svd(monkeypatch):
     assert len(operands) == 1 and eighs == []
     assert verify_perturbation(positive, res).passed
     assert len(operands) == 2
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (7, 4)])
+def test_a_matrix_construction_forms_no_modulus(monkeypatch, shape):
+    # m(|T|) and its witness are m(T)'s, so the matrix construction reads |T| for nothing
+    # but its shape and forms none; S = V A keeps the bits it has with |T| formed
+    rng = np.random.default_rng(53)
+    op = MatrixOp(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    calls = []
+    real = spectral.modulus
+    monkeypatch.setattr(spectral, "modulus", lambda t: calls.append(t) or real(t))
+    results = [build(op, 0.05) for build in (attainment_perturbation, bounded_below_perturbation)]
+    assert calls == []
+    parts = spectral.polar(op)
+    for res in results:
+        capped = perturbation._positive_construction(parts.modulus, 0.05,
+                                                     spectral.minimum_modulus(op), 10_000)
+        expect = compose_operators(parts.isometry, capped.perturbation)
+        assert _dense(res.perturbation).tobytes() == _dense(expect).tobytes()
+        assert repr(res.witness) == repr(capped.witness) and res.norm_s == capped.norm_s
+        assert verify_perturbation(op, res).passed
 
 
 def test_verification_reads_no_entry_of_a_constant_s_tail(monkeypatch):
